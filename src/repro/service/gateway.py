@@ -758,6 +758,11 @@ class Gateway:
 
     def prometheus(self):
         """The Prometheus text exposition ``GET /v1/metrics`` serves."""
+        # Imported for its registration, so the scrape lists the native
+        # artifact counter before the first native run (lazily, like
+        # engine_tier_report: a gateway nobody scrapes never loads it).
+        from repro.uarch import native  # noqa: F401
+
         self._refresh_gauges()
         return _REGISTRY.render()
 

@@ -4,23 +4,33 @@ The compiled tier (``repro.uarch.compiled``) removed the per-cycle
 Python overhead it could — re-hoisted state, configuration-dead
 branches — but the residual cost is CPython bytecode dispatch itself.
 This package lowers the same per-``ProcessorConfig`` specialization to
-C99: a ``#define`` header rendered per feature vector is prepended to
-``engine_template.c`` (one translation unit), compiled once with the
+C99: a header holding only the ``F_*`` feature flags (plus the opcode
+decode tables and the counter and parameter slot numbers) is prepended
+to ``engine_template.c`` (one translation unit), compiled once with the
 system toolchain (``cc -O2 -shared -fPIC``; ``REPRO_CC`` overrides the
-probe order), and loaded through :mod:`ctypes`.  The trace is marshalled
-once into flat ``array``-module buffers, the whole run executes in
-native code, and a flat counter block is mapped back onto ``SimStats``
-— the contract is **bit-identical** statistics with the interpreter,
-enforced by the same differential stack as the compiled tier
-(``tools/engine_diff.py``, golden replays, the chaos differential).
+probe order), and loaded through :mod:`ctypes`.  Every sizing value —
+per-class NLR/NPR/NVR/NRR, widths, ROB/IQ/fetch-buffer sizes, ports,
+cache geometry, FU counts, the BHT mask, the deadlock horizon — travels
+to ``repro_run`` at run time in one ``int64`` parameter block
+(:data:`_PARAM_NAMES`), from which the C side allocates its tables.
+The trace is marshalled once into flat ``array``-module buffers, the
+whole run executes in native code, and a flat counter block is mapped
+back onto ``SimStats`` — the contract is **bit-identical** statistics
+with the interpreter, enforced by the same differential stack as the
+compiled tier (``tools/engine_diff.py``, golden replays, the chaos
+differential).
 
 Shared objects are cached under ``REPRO_CACHE_DIR/native/`` keyed by
-``sha256(header + template)`` so sweeps and pool workers compile each
-specialization at most once per machine; the file name also embeds a
-template fingerprint so stale artifacts from an older code version are
+``sha256(header + template)`` (:func:`native_key`).  The header depends
+on the flag vector alone, so there is one artifact per flag vector, not
+per sizing point: the Figure 4 and 5 grids (13 configurations) need 3
+artifacts, and every ``repro.experiments`` grid together (37 natively
+lowerable configurations) needs 8.  Sweeps and pool workers compile each
+at most once per machine; the file name also embeds a template
+fingerprint so stale artifacts from an older code version are
 recognizable (``repro cache stats`` flags them, ``repro cache compact``
-prunes them).  A cross-process ``flock`` serializes concurrent builds
-of the same artifact.
+prunes them).  A cross-process ``flock`` serializes concurrent builds of
+the same artifact.
 
 Everything degrades loudly but gracefully: no toolchain, a failed
 compile, an unspecializable processor, or a trace shape the C loop does
@@ -43,10 +53,12 @@ import subprocess
 import tempfile
 from array import array
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 from repro.isa.opcodes import FUKind, OP_DECODE
-from repro.isa.registers import RegClass
+from repro.isa.registers import CLASS_SHIFT, RegClass
+from repro.obs import metrics as _metrics
 from repro.uarch import compiled as _compiled
 
 try:
@@ -59,6 +71,13 @@ build_failures: dict[str, int] = {}
 
 #: in-process cache of loaded shared objects, keyed by artifact name.
 _LIB_CACHE: dict[str, object] = {}
+
+_ARTIFACTS = _metrics.get_registry().counter(
+    "repro_native_artifacts_total",
+    "Native engine artifact requests by outcome: memory (loaded in this "
+    "process), disk (loaded from the artifact cache), built (compiled), "
+    "failed (no artifact; the run falls back).",
+    labelnames=("outcome",))
 
 _TOOLCHAIN_UNSET = object()
 _toolchain = _TOOLCHAIN_UNSET
@@ -92,6 +111,24 @@ _COUNTER_NAMES = (
 )
 _K = {name: i for i, name in enumerate(_COUNTER_NAMES)}
 N_COUNTERS = len(_COUNTER_NAMES)
+
+#: The sizing parameter block ``repro_run`` reads at entry, in slot
+#: order.  Like the counter block, this tuple generates the ``P_*``
+#: slot defines of the rendered header; :func:`_param_block` fills it.
+#: The C side indexes the per-class pairs (``P_NLR_INT + cls``) and the
+#: FU counts (``P_FU_N_0 + kind``) by offset, so each group stays
+#: contiguous and in this order.
+_PARAM_NAMES = (
+    "NLR_INT", "NLR_FP", "NPR_INT", "NPR_FP", "NVR_INT", "NVR_FP",
+    "NRR_INT", "NRR_FP",
+    "FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE", "IQ_SIZE",
+    "FB_SIZE", "READ_PORTS", "WRITE_PORTS", "COMMIT_DELAY", "HORIZON",
+    "NUM_LINES", "LINE_BYTES", "HIT_LAT", "MISS_PEN", "MSHR_N", "BUS_CPL",
+    "CACHE_PORTS", "BHT_MASK", "SQ_CAP",
+    "RF_RP", "RF_WP", "RF_BANKS", "RF_BANK_RP", "RF_BANK_WP",
+    "FU_N_0", "FU_N_1", "FU_N_2", "FU_N_3", "FU_N_4", "FU_N_5",
+)
+N_PARAMS = len(_PARAM_NAMES)
 
 _PROBE_SOURCE = "int repro_probe(void) { return 42; }\n"
 
@@ -220,82 +257,42 @@ def _pristine(processor):
 # -- header rendering --------------------------------------------------------
 
 
-def _c_int(value):
-    value = int(value)
-    if -(2 ** 31) < value < 2 ** 31:
-        return str(value)
-    return f"INT64_C({value})"
+def _flag_vector(processor, flags):
+    """The ``F_*`` preprocessor flags of a processor: the only part of
+    its configuration an artifact is compiled for.  ``flags`` is the
+    first half of :func:`native_features`.  A tuple of ``(name, 0|1)``
+    pairs in a fixed order, so equal vectors hash alike and share one
+    artifact."""
+    rf_banked = flags["RF"] and processor.regfile.banks > 1
+    return (
+        ("F_RF", int(flags["RF"])),
+        ("F_RF_BANKS", int(rf_banked)),
+        ("F_SQ", int(bool(processor.config.store_queue_size))),
+        ("F_COMPLETE", int(flags["COMPLETE_HOOK"])),
+        ("F_ISSUE", int(flags["ISSUE_HOOK"])),
+        ("F_VP_WB", int(flags["VP_WB"])),
+        ("F_RETRY", int(flags["RETRY"])),
+        ("F_IDLE", int(flags["IDLE"])),
+        ("F_PERFECT", int(flags["PERFECT"])),
+        ("F_VP", int(flags["VP_INLINE"])),
+        ("F_CONV", int(flags["CONV"])),
+    )
 
 
-def render_header(processor, flags, consts):
-    """The ``#define`` header completing ``engine_template.c`` into one
-    self-contained translation unit for this processor's feature
-    vector."""
-    cfg = processor.config
-    ren = processor.renamer
-    INT, FP = RegClass.INT, RegClass.FP
-    vp = flags["VP_INLINE"]
-
+def render_header(fvec):
+    """The header completing ``engine_template.c`` into one
+    self-contained translation unit for the flag vector ``fvec`` (see
+    :func:`_flag_vector`): the ``F_*`` flags, the fixed tag-encoding
+    constants, the opcode decode tables and the counter and parameter
+    slot numbers.  Nothing in it depends on a sizing value."""
     lines = ["/* generated by repro.uarch.native - do not edit */"]
     define = lambda name, value: lines.append(f"#define {name} {value}")
 
-    define("F_RF", int(flags["RF"]))
-    define("F_COMPLETE", int(flags["COMPLETE_HOOK"]))
-    define("F_ISSUE", int(flags["ISSUE_HOOK"]))
-    define("F_VP_WB", int(flags["VP_WB"]))
-    define("F_RETRY", int(flags["RETRY"]))
-    define("F_IDLE", int(flags["IDLE"]))
-    define("F_PERFECT", int(flags["PERFECT"]))
-    define("F_VP", int(vp))
-    define("F_CONV", int(flags["CONV"]))
-
-    for name in ("FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE",
-                 "IQ_SIZE", "FB_SIZE", "READ_PORTS", "WRITE_PORTS",
-                 "COMMIT_DELAY", "HORIZON", "CLASS_SHIFT", "INDEX_MASK"):
-        define(name, _c_int(consts[name]))
-    define("FAR_FUTURE", _c_int(consts["FAR_FUTURE"]))
-
-    nlr = {c: ren.nlr[c] for c in (INT, FP)}
-    npr = {c: ren.npr[c] for c in (INT, FP)}
-    nvr = {c: ren.nvr[c] for c in (INT, FP)} if vp else dict(npr)
-    if vp:
-        nrr = {c: ren._reserve_by_cls[c].nrr for c in (INT, FP)}
-    else:
-        nrr = {INT: 0, FP: 0}
-    define("NLR_INT", nlr[INT])
-    define("NLR_FP", nlr[FP])
-    define("NPR_INT", npr[INT])
-    define("NPR_FP", npr[FP])
-    define("NVR_INT", nvr[INT])
-    define("NVR_FP", nvr[FP])
-    define("NRR_INT", nrr[INT])
-    define("NRR_FP", nrr[FP])
-    define("MAX_IDENT", max(npr[INT], npr[FP], nvr[INT], nvr[FP]))
-    define("SQ_CAP", cfg.store_queue_size or 0)
-
-    ccfg = processor.mem.cache.config
-    define("NUM_LINES", ccfg.num_lines)
-    define("LINE_BYTES", ccfg.line_bytes)
-    define("HIT_LAT", ccfg.hit_latency)
-    define("MISS_PEN", ccfg.miss_penalty)
-    define("MSHR_N", ccfg.mshr_entries)
-    define("BUS_CPL", ccfg.bus_cycles_per_line)
-    define("CACHE_PORTS", cfg.cache_ports)
-    define("BHT_MASK", processor.bht._mask)
-
-    if flags["RF"]:
-        rf = processor.regfile
-        define("RF_RP", rf.read_ports)
-        define("RF_WP", rf.write_ports)
-        define("RF_BANKS", rf.banks)
-        define("RF_BANK_RP", rf.bank_read_ports)
-        define("RF_BANK_WP", rf.bank_write_ports)
-    else:
-        define("RF_BANKS", 1)
-
-    fu_n = [len(processor.fus._busy_until[kind]) for kind in FUKind]
-    define("FU_MAX", max(fu_n))
-    define("FU_N_INIT", "{" + ", ".join(map(str, fu_n)) + "}")
+    for name, value in fvec:
+        define(name, value)
+    define("CLASS_SHIFT", CLASS_SHIFT)
+    define("INDEX_MASK", (1 << CLASS_SHIFT) - 1)
+    define("FAR_FUTURE", f"INT64_C({_compiled._FAR_FUTURE})")
 
     define("N_OPS", len(OP_DECODE))
     cols = {"OP_DEST_INIT": [], "OP_LOAD_INIT": [], "OP_STORE_INIT": [],
@@ -316,20 +313,62 @@ def render_header(processor, flags, consts):
     for i, name in enumerate(_COUNTER_NAMES):
         define(f"K_{name.upper()}", i)
     define("N_COUNTERS", N_COUNTERS)
+    for i, name in enumerate(_PARAM_NAMES):
+        define(f"P_{name}", i)
+    define("N_PARAMS", N_PARAMS)
     return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)  # bounded: one entry per flag vector
+def _artifact_key(fvec):
+    blob = (render_header(fvec) + _template_text()).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def native_key(processor):
     """Stable identity of the artifact a processor would compile, or
     ``None`` when it cannot run natively.  Hashes the *rendered* header
     plus the template text, so any semantic change to either produces a
-    new artifact."""
+    new artifact; the header holds only the :func:`_flag_vector`, so
+    processors that differ only in sizing share one key."""
     features, _ = native_features(processor)
     if features is None:
         return None
-    header = render_header(processor, *features)
-    blob = (header + _template_text()).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _artifact_key(_flag_vector(processor, features[0]))
+
+
+def _param_block(processor, flags, consts):
+    """The ``int64`` parameter block ``repro_run`` sizes one run from,
+    laid out in :data:`_PARAM_NAMES` order; ``(flags, consts)`` is what
+    :func:`native_features` returned."""
+    cfg = processor.config
+    ren = processor.renamer
+    vp = flags["VP_INLINE"]
+    values = dict(consts)
+    for cls, suffix in ((RegClass.INT, "INT"), (RegClass.FP, "FP")):
+        values[f"NLR_{suffix}"] = ren.nlr[cls]
+        values[f"NPR_{suffix}"] = ren.npr[cls]
+        values[f"NVR_{suffix}"] = ren.nvr[cls] if vp else ren.npr[cls]
+        values[f"NRR_{suffix}"] = (ren._reserve_by_cls[cls].nrr if vp
+                                   else 0)
+    ccfg = processor.mem.cache.config
+    values.update(
+        NUM_LINES=ccfg.num_lines, LINE_BYTES=ccfg.line_bytes,
+        HIT_LAT=ccfg.hit_latency, MISS_PEN=ccfg.miss_penalty,
+        MSHR_N=ccfg.mshr_entries, BUS_CPL=ccfg.bus_cycles_per_line,
+        CACHE_PORTS=cfg.cache_ports, BHT_MASK=processor.bht._mask,
+        SQ_CAP=cfg.store_queue_size or 0)
+    rf = processor.regfile
+    if flags["RF"]:
+        values.update(
+            RF_RP=rf.read_ports, RF_WP=rf.write_ports, RF_BANKS=rf.banks,
+            RF_BANK_RP=rf.bank_read_ports, RF_BANK_WP=rf.bank_write_ports)
+    else:
+        values.update(RF_RP=0, RF_WP=0, RF_BANKS=1, RF_BANK_RP=0,
+                      RF_BANK_WP=0)
+    for kind in FUKind:
+        values[f"FU_N_{int(kind)}"] = len(processor.fus._busy_until[kind])
+    return array("q", (values[name] for name in _PARAM_NAMES))
 
 
 # -- artifact build + load ---------------------------------------------------
@@ -351,59 +390,65 @@ def _build_lock(directory):
 
 def _declare(lib):
     lib.repro_run.restype = ctypes.c_int64
-    lib.repro_run.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 10
+    lib.repro_run.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 11
     return lib
+
+
+def _failed(reason):
+    _note_failure(reason)
+    _ARTIFACTS.inc(outcome="failed")
+    return None, reason
 
 
 def build_library(processor):
     """``(loaded library, None)`` or ``(None, failure reason)``.
 
-    Cache ladder: in-process loaded library -> on-disk shared object ->
-    compile (under the cross-process build lock, with an atomic rename
-    so readers never see a partial artifact).
+    One artifact serves every processor with the same
+    :func:`native_key` (one flag vector); :func:`execute` passes the
+    sizing at run time.  Cache ladder: in-process loaded library ->
+    on-disk shared object -> compile (under the cross-process build
+    lock, with an atomic rename so readers never see a partial
+    artifact).  Each call counts one ``repro_native_artifacts_total``
+    outcome: ``memory``, ``disk``, ``built`` or ``failed``.
     """
     features, reason = native_features(processor)
     if features is None:
-        _note_failure(reason)
-        return None, reason
+        return _failed(reason)
     cc = toolchain()
     if cc is None:
-        _note_failure("no-toolchain")
-        return None, "no-toolchain"
-    header = render_header(processor, *features)
-    template = _template_text()
-    key = hashlib.sha256((header + template).encode("utf-8")) \
-        .hexdigest()[:16]
-    name = f"engine-{template_fingerprint()}-{key}.so"
+        return _failed("no-toolchain")
+    name = f"engine-{template_fingerprint()}-{native_key(processor)}.so"
     lib = _LIB_CACHE.get(name)
     if lib is not None:
+        _ARTIFACTS.inc(outcome="memory")
         return lib, None
     directory = artifact_dir()
     so_path = directory / name
+    outcome = "disk"
     if not so_path.exists():
         try:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError:
-            _note_failure("cache-dir-unwritable")
-            return None, "cache-dir-unwritable"
+            return _failed("cache-dir-unwritable")
         with _build_lock(directory):
             if not so_path.exists():  # a peer may have built it meanwhile
+                source = (render_header(_flag_vector(processor,
+                                                     features[0]))
+                          + _template_text())
                 src_path = directory / f"{name[:-3]}.c"
                 tmp_path = directory / f".{name}.tmp-{os.getpid()}"
                 try:
-                    src_path.write_text(header + template,
-                                        encoding="utf-8")
+                    src_path.write_text(source, encoding="utf-8")
                     result = subprocess.run(
                         [cc, "-O2", "-shared", "-fPIC",
                          "-o", str(tmp_path), str(src_path)],
                         capture_output=True, timeout=300)
                     if result.returncode != 0:
-                        _note_failure("compile-error")
-                        return None, "compile-error"
+                        return _failed("compile-error")
                     os.replace(tmp_path, so_path)
+                    outcome = "built"
                 except (OSError, subprocess.TimeoutExpired):
-                    _note_failure("compile-error")
-                    return None, "compile-error"
+                    return _failed("compile-error")
                 finally:
                     for leftover in (tmp_path, src_path):
                         try:
@@ -415,9 +460,9 @@ def build_library(processor):
         # file-scope statics in the C loop need no further locking.
         lib = _declare(ctypes.PyDLL(str(so_path)))
     except OSError:
-        _note_failure("load-error")
-        return None, "load-error"
+        return _failed("load-error")
     _LIB_CACHE[name] = lib
+    _ARTIFACTS.inc(outcome=outcome)
     return lib, None
 
 
@@ -561,10 +606,12 @@ def execute(processor, records):
     if buffers is None:
         _note_failure(reason)
         return False
+    params = _param_block(processor, *native_features(processor)[0])
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
-    rc = lib.repro_run(ctypes.c_int64(n), *map(_ptr, buffers),
+    rc = lib.repro_run(ctypes.c_int64(n), _ptr(params),
+                       *map(_ptr, buffers),
                        _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
     if rc in (0, 1):
         _sync(processor, counters, tags_arr, bht_arr)

@@ -1,13 +1,17 @@
 /* The native engine tier: one specialized cycle loop in C99.
  *
  * This file is the second half of a single translation unit: the Python
- * side (repro.uarch.native) renders a #define header per ProcessorConfig
- * feature vector (the same flags/consts repro.uarch.compiled specializes
- * on, plus the machine geometry the Python tiers read off live objects)
- * and prepends it to this template before invoking the system C
- * compiler.  Dead feature branches are dropped by the preprocessor
- * (#if F_*), configuration scalars are compile-time literals, and the
- * whole trace runs in one call.
+ * side (repro.uarch.native) renders a header holding only the F_*
+ * feature flags of a ProcessorConfig (the same flags repro.uarch.compiled
+ * specializes on, plus two derived from the store-queue and register-file
+ * bank configuration), the opcode decode tables and the counter and
+ * parameter slot numbers, and prepends it to this template before
+ * invoking the system C compiler.  Dead feature branches are dropped by
+ * the preprocessor (#if F_*); every sizing value (register counts and
+ * NRR per class, widths, window sizes, ports, cache geometry, FU counts,
+ * ...) arrives at run time in the int64 parameter block, so one artifact
+ * serves every sizing point of a flag vector and the whole trace runs in
+ * one call.
  *
  * Stage semantics and ordering mirror repro/uarch/compiled.py's
  * _TEMPLATE line for line — when editing either, edit both (the
@@ -15,14 +19,15 @@
  * contract is bit-identical SimStats with the interpreter.
  *
  * Entry point:
- *   int64_t repro_run(n, rec_pc, rec_op, rec_dest, rec_src1, rec_src2,
- *                     rec_addr, rec_taken, cache_tags_io, bht_io,
- *                     counters)
+ *   int64_t repro_run(n, params, rec_pc, rec_op, rec_dest, rec_src1,
+ *                     rec_src2, rec_addr, rec_taken, cache_tags_io,
+ *                     bht_io, counters)
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
- * SimulationDeadlock); 2 = internal invariant violated (nothing is
- * synced, the caller falls back to the compiled tier which reproduces
- * the same crash); 3 = out of memory (nothing ran, caller falls back).
+ * SimulationDeadlock); 2 = internal invariant violated or a parameter
+ * block the loop cannot size (nothing is synced, the caller falls back
+ * to the compiled tier which reproduces the same crash); 3 = out of
+ * memory (nothing ran, caller falls back).
  */
 
 #include <stdint.h>
@@ -38,7 +43,18 @@ static const uint8_t OP_BR[N_OPS] = OP_BR_INIT;
 static const int8_t OP_FU[N_OPS] = OP_FU_INIT;
 static const int8_t OP_LAT[N_OPS] = OP_LAT_INIT;
 static const uint8_t OP_PIPE[N_OPS] = OP_PIPE_INIT;
-static const int32_t FU_N[6] = FU_N_INIT;
+
+/* ---- sizing (load_params fills these on every entry) ----------------
+ * Named like the compiled tier's __NAME__ literals, so the loop body
+ * reads line for line against repro/uarch/compiled.py. */
+
+static int64_t FETCH_W, RENAME_W, ISSUE_W, COMMIT_W, ROB_SIZE, IQ_SIZE,
+    FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON;
+static int64_t NUM_LINES, LINE_BYTES, HIT_LAT, MISS_PEN, MSHR_N, BUS_CPL,
+    CACHE_PORTS, BHT_MASK, SQ_CAP;
+static int64_t RF_RP, RF_WP, RF_BANKS, RF_BANK_RP, RF_BANK_WP;
+static int64_t MAX_IDENT, FU_MAX;
+static int64_t FU_N[6];
 
 #define TAG_SHIFT 16
 #define TIDX(tag) (((int64_t)(tag) >> TAG_SHIFT) * MAX_IDENT \
@@ -106,15 +122,11 @@ static uint8_t *gv[2];
 static int64_t res_reg[2], res_used[2];
 static int32_t *pend_q[2];
 static int64_t pend_h[2], pend_t[2];
-static const int64_t res_nrr[2] = { NRR_INT, NRR_FP };
 #else
 static int32_t *map_tab[2];
 #endif
-static const int64_t pool_nlr[2] = { NLR_INT, NLR_FP };
-static const int64_t pool_npr[2] = { NPR_INT, NPR_FP };
-#if F_VP
-static const int64_t pool_nvr[2] = { NVR_INT, NVR_FP };
-#endif
+/* per-class register counts: logical, physical, virtual, reserved */
+static int64_t pool_nlr[2], pool_npr[2], pool_nvr[2], res_nrr[2];
 
 /* store queue: ring in age order + monotonic unknown-address queue */
 static int32_t *sq_seq;
@@ -126,16 +138,16 @@ static int64_t un_h, un_t;
 static int64_t sq_forwards, sq_waits;
 
 /* functional units */
-static int64_t fu_busy[6][FU_MAX], fu_issued[6][FU_MAX];
+static int64_t *fu_busy, *fu_issued;   /* [kind * FU_MAX + unit] */
 static int64_t fu_issues[6], fu_stalls[6];
 
 /* cache + MSHRs + bus + ports */
 static int64_t *c_tags;
 static int64_t c_loads, c_load_misses, c_stores, c_store_misses,
     c_mshr_stalls;
-static int64_t mp_line[MSHR_N], mp_fill[MSHR_N];
+static int64_t *mp_line, *mp_fill;     /* [MSHR_N] */
 static int64_t mp_n;
-static int64_t mh_fill[MSHR_HEAP], mh_line[MSHR_HEAP];
+static int64_t *mh_fill, *mh_line;     /* [MSHR_HEAP] */
 static int64_t mh_n;
 static int64_t m_allocs, m_merges, m_rejects;
 static int64_t bus_free, bus_transfers, bus_busy;
@@ -147,7 +159,7 @@ static int8_t *bht;
 
 #if F_RF
 static int64_t rf_reads[2], rf_writes[2];
-static int64_t rf_bank_r[2 * RF_BANKS], rf_bank_w[2 * RF_BANKS];
+static int64_t *rf_bank_r, *rf_bank_w; /* [2 * RF_BANKS] */
 static int64_t rf_read_stalls, rf_bank_conflicts;
 #endif
 
@@ -305,7 +317,7 @@ static int64_t sq_find(int32_t seq)
 
 static void sq_insert(int32_t seq)
 {
-#if SQ_CAP
+#if F_SQ
     if (sq_n >= SQ_CAP) { g_rc = 2; return; }
 #endif
     if (sq_n >= SQ_RING) { g_rc = 2; return; }
@@ -596,7 +608,7 @@ static int try_store_commit(int64_t addr, int64_t now)
 static void rf_start_read(void)
 {
     rf_reads[0] = rf_reads[1] = RF_RP;
-#if RF_BANKS > 1
+#if F_RF_BANKS
     {
         int64_t i;
         for (i = 0; i < 2 * RF_BANKS; i++)
@@ -608,7 +620,7 @@ static void rf_start_read(void)
 static void rf_start_write(void)
 {
     rf_writes[0] = rf_writes[1] = RF_WP;
-#if RF_BANKS > 1
+#if F_RF_BANKS
     {
         int64_t i;
         for (i = 0; i < 2 * RF_BANKS; i++)
@@ -627,7 +639,7 @@ static int rf_can_read(int32_t s)
         rf_read_stalls++;
         return 0;
     }
-#if RF_BANKS > 1
+#if F_RF_BANKS
     if (ni || nf) {
         int32_t t1 = d_rt1[s], t2 = d_rt2[s];
         if (t1 >= 0 && t2 >= 0) {
@@ -657,7 +669,7 @@ static void rf_claim_read(int32_t s)
 {
     rf_reads[0] -= d_ni[s];
     rf_reads[1] -= d_nf[s];
-#if RF_BANKS > 1
+#if F_RF_BANKS
     if (d_ni[s] || d_nf[s]) {
         if (d_rt1[s] >= 0)
             rf_bank_r[RF_SLOT(d_rt1[s])]--;
@@ -671,7 +683,7 @@ static int rf_can_write(int32_t s, int cls)
 {
     if (rf_writes[cls] == 0)
         return 0;
-#if RF_BANKS > 1
+#if F_RF_BANKS
     if (rf_bank_w[RF_SLOT(d_dtag[s])] == 0) {
         rf_bank_conflicts++;
         return 0;
@@ -683,7 +695,7 @@ static int rf_can_write(int32_t s, int cls)
 static void rf_claim_write(int32_t s, int cls)
 {
     rf_writes[cls]--;
-#if RF_BANKS > 1
+#if F_RF_BANKS
     rf_bank_w[RF_SLOT(d_dtag[s])]--;
 #endif
 }
@@ -720,12 +732,14 @@ static int vp_try_alloc(int32_t s, int cls)
 
 /* ---- allocation / teardown ----------------------------------------- */
 
-static void *g_blocks[64];
+#define MAX_BLOCKS 96
+
+static void *g_blocks[MAX_BLOCKS];
 static int g_nblocks;
 
 static void *xalloc(int64_t nbytes)
 {
-    void *p = malloc((size_t)nbytes);
+    void *p = g_nblocks < MAX_BLOCKS ? malloc((size_t)nbytes) : NULL;
     if (p == NULL)
         g_rc = 3;
     else
@@ -761,12 +775,73 @@ static void pool_init(pool_t *p, int64_t first, int64_t last_excl)
     }
 }
 
-static int setup(int64_t n)
+/* Copy the parameter block (slot numbers P_* come from the rendered
+ * header) into the sizing statics and derive the table bounds.  Returns
+ * 2 for a block no allocation below could size. */
+static int load_params(const int64_t *prm)
+{
+    int64_t cls, k;
+    FETCH_W = prm[P_FETCH_W];
+    RENAME_W = prm[P_RENAME_W];
+    ISSUE_W = prm[P_ISSUE_W];
+    COMMIT_W = prm[P_COMMIT_W];
+    ROB_SIZE = prm[P_ROB_SIZE];
+    IQ_SIZE = prm[P_IQ_SIZE];
+    FB_SIZE = prm[P_FB_SIZE];
+    READ_PORTS = prm[P_READ_PORTS];
+    WRITE_PORTS = prm[P_WRITE_PORTS];
+    COMMIT_DELAY = prm[P_COMMIT_DELAY];
+    HORIZON = prm[P_HORIZON];
+    NUM_LINES = prm[P_NUM_LINES];
+    LINE_BYTES = prm[P_LINE_BYTES];
+    HIT_LAT = prm[P_HIT_LAT];
+    MISS_PEN = prm[P_MISS_PEN];
+    MSHR_N = prm[P_MSHR_N];
+    BUS_CPL = prm[P_BUS_CPL];
+    CACHE_PORTS = prm[P_CACHE_PORTS];
+    BHT_MASK = prm[P_BHT_MASK];
+    SQ_CAP = prm[P_SQ_CAP];
+    RF_RP = prm[P_RF_RP];
+    RF_WP = prm[P_RF_WP];
+    RF_BANKS = prm[P_RF_BANKS];
+    RF_BANK_RP = prm[P_RF_BANK_RP];
+    RF_BANK_WP = prm[P_RF_BANK_WP];
+    MAX_IDENT = 0;
+    for (cls = 0; cls < 2; cls++) {
+        pool_nlr[cls] = prm[P_NLR_INT + cls];
+        pool_npr[cls] = prm[P_NPR_INT + cls];
+        pool_nvr[cls] = prm[P_NVR_INT + cls];
+        res_nrr[cls] = prm[P_NRR_INT + cls];
+        if (pool_nlr[cls] < 0 || pool_npr[cls] < pool_nlr[cls]
+                || pool_nvr[cls] < pool_nlr[cls])
+            return 2;
+        if (pool_npr[cls] > MAX_IDENT)
+            MAX_IDENT = pool_npr[cls];
+        if (pool_nvr[cls] > MAX_IDENT)
+            MAX_IDENT = pool_nvr[cls];
+    }
+    FU_MAX = 0;
+    for (k = 0; k < 6; k++) {
+        FU_N[k] = prm[P_FU_N_0 + k];
+        if (FU_N[k] < 0)
+            return 2;
+        if (FU_N[k] > FU_MAX)
+            FU_MAX = FU_N[k];
+    }
+    if (ROB_SIZE < 0 || FB_SIZE < 0 || NUM_LINES < 1 || LINE_BYTES < 1
+            || MSHR_N < 1 || RF_BANKS < 1)
+        return 2;
+    return 0;
+}
+
+static int setup(int64_t n, const int64_t *prm)
 {
     int64_t i, cls;
-    g_rc = 0;
     g_nblocks = 0;
     g_n = n;
+    g_rc = load_params(prm);
+    if (g_rc)
+        return g_rc;
 
     d_nb = (int64_t *)xalloc(n * 8);
     d_mra = (int64_t *)xalloc(n * 8);
@@ -810,6 +885,17 @@ static int setup(int64_t n)
     sq_drt = (int64_t *)xalloc((int64_t)SQ_RING * 8);
     sq_known = (uint8_t *)xalloc((int64_t)SQ_RING);
     un_q = (int32_t *)xalloc((n + 1) * 4);
+
+    fu_busy = (int64_t *)xalloc(6 * FU_MAX * 8);
+    fu_issued = (int64_t *)xalloc(6 * FU_MAX * 8);
+    mp_line = (int64_t *)xalloc(MSHR_N * 8);
+    mp_fill = (int64_t *)xalloc(MSHR_N * 8);
+    mh_fill = (int64_t *)xalloc(MSHR_HEAP * 8);
+    mh_line = (int64_t *)xalloc(MSHR_HEAP * 8);
+#if F_RF
+    rf_bank_r = (int64_t *)xalloc(2 * RF_BANKS * 8);
+    rf_bank_w = (int64_t *)xalloc(2 * RF_BANKS * 8);
+#endif
 
 #if F_VP
     for (cls = 0; cls < 2; cls++) {
@@ -860,13 +946,11 @@ static int setup(int64_t n)
     if (g_rc)
         return g_rc;
 
-    for (i = 0; i < 6; i++) {
-        int64_t u;
+    for (i = 0; i < 6; i++)
         fu_issues[i] = fu_stalls[i] = 0;
-        for (u = 0; u < FU_MAX; u++) {
-            fu_busy[i][u] = 0;
-            fu_issued[i][u] = -1;
-        }
+    for (i = 0; i < 6 * FU_MAX; i++) {
+        fu_busy[i] = 0;
+        fu_issued[i] = -1;
     }
 
     mp_n = mh_n = 0;
@@ -889,7 +973,7 @@ static int setup(int64_t n)
 
 /* ---- the run loop --------------------------------------------------- */
 
-int64_t repro_run(int64_t n,
+int64_t repro_run(int64_t n, const int64_t *params,
                   const int64_t *rec_pc, const int32_t *rec_op,
                   const int32_t *rec_dest, const int32_t *rec_src1,
                   const int32_t *rec_src2, const int64_t *rec_addr,
@@ -919,7 +1003,7 @@ int64_t repro_run(int64_t n,
     c_tags = cache_tags_io;
     bht = bht_io;
 
-    if (setup(n)) {
+    if (setup(n, params)) {
         rc = g_rc;
         free_all();
         return rc;
@@ -1205,8 +1289,8 @@ int64_t repro_run(int64_t n,
                 unit = -1;
                 nu = FU_N[kind];
                 for (u = 0; u < nu; u++)
-                    if (fu_busy[kind][u] <= now
-                            && fu_issued[kind][u] != now) {
+                    if (fu_busy[kind * FU_MAX + u] <= now
+                            && fu_issued[kind * FU_MAX + u] != now) {
                         unit = (int)u;
                         break;
                     }
@@ -1231,9 +1315,9 @@ int64_t repro_run(int64_t n,
                     }
                 }
 #endif
-                fu_issued[kind][unit] = now;
+                fu_issued[kind * FU_MAX + unit] = now;
                 if (!OP_PIPE[op])
-                    fu_busy[kind][unit] = now + OP_LAT[op];
+                    fu_busy[kind * FU_MAX + unit] = now + OP_LAT[op];
                 fu_issues[kind]++;
 #if F_RF
                 rf_claim_read(s);
@@ -1295,7 +1379,7 @@ int64_t repro_run(int64_t n,
                     s_iq_full++;
                     break;
                 }
-#if SQ_CAP
+#if F_SQ
                 if (OP_STORE[op] && sq_n >= SQ_CAP) {
                     s_sq_full++;
                     break;
@@ -1490,8 +1574,8 @@ int64_t repro_run(int64_t n,
         }
 
         /* ---- occupancy integrals + cycle advance -------------------- */
-        s_int_occ += NPR_INT - pool_phys[0].count;
-        s_fp_occ += NPR_FP - pool_phys[1].count;
+        s_int_occ += pool_npr[0] - pool_phys[0].count;
+        s_fp_occ += pool_npr[1] - pool_phys[1].count;
 #if F_IDLE
         if (rh_n) {
             now += 1;
@@ -1536,7 +1620,7 @@ int64_t repro_run(int64_t n,
                     } else if (iq_count >= IQ_SIZE) {
                         stall_kind = 2;
                     }
-#if SQ_CAP
+#if F_SQ
                     else if (OP_STORE[r_op[h]] && sq_n >= SQ_CAP) {
                         stall_kind = 3;
                     }
@@ -1570,8 +1654,8 @@ int64_t repro_run(int64_t n,
                 if (best <= target)
                     break;
                 skipped = best - target;
-                s_int_occ += skipped * (NPR_INT - pool_phys[0].count);
-                s_fp_occ += skipped * (NPR_FP - pool_phys[1].count);
+                s_int_occ += skipped * (pool_npr[0] - pool_phys[0].count);
+                s_fp_occ += skipped * (pool_npr[1] - pool_phys[1].count);
                 if (!fetch_dead) {
                     int64_t stalled =
                         (best < fetch_resume_at

@@ -55,6 +55,7 @@ class TestPrometheusExposition:
         assert content_type == PROMETHEUS_CONTENT_TYPE
         assert "# TYPE repro_gateway_requests_total counter" in body
         assert "# TYPE repro_gateway_uptime_seconds gauge" in body
+        assert "# TYPE repro_native_artifacts_total counter" in body
         assert "repro_build_info{" in body
 
     def test_scrape_is_structurally_valid(self, gateway, client):

@@ -18,8 +18,16 @@ import os
 
 import pytest
 
+from repro.core.virtual_physical import AllocationStage
+from repro.experiments.figures import NRR_SWEEP
+from repro.memory.cache import CacheConfig
+from repro.obs.metrics import get_registry
 from repro.uarch import compiled, enginediff, native
-from repro.uarch.config import ProcessorConfig, virtual_physical_config
+from repro.uarch.config import (
+    ProcessorConfig,
+    conventional_config,
+    virtual_physical_config,
+)
 from repro.uarch.processor import Processor
 from repro.trace.generator import materialized_trace
 from repro.trace.workloads import load_workload
@@ -293,6 +301,95 @@ def test_native_artifact_reused_across_processes_worth_of_state():
     assert s1 == s2
     assert native.cache_info()["loaded_libraries"] == loaded
     assert s1["engine_fallbacks"] == 0
+
+
+#: Two sizing points of one flag vector (vp-writeback, no port model, no
+#: store-queue bound) that differ in every runtime-sized structure: NRR,
+#: register counts, widths, ROB/IQ/fetch buffer, cache geometry and
+#: MSHRs, FU counts and the BHT.
+SIZING_A = virtual_physical_config(nrr=8)
+SIZING_B = virtual_physical_config(
+    nrr=24, int_phys=96, fp_phys=80, fetch_width=4, rename_width=4,
+    issue_width=4, commit_width=4, rob_size=48, iq_size=24,
+    fetch_buffer_size=6,
+    cache=CacheConfig(size_bytes=4 * 1024, line_bytes=64, hit_latency=3,
+                      miss_penalty=30, mshr_entries=2,
+                      bus_cycles_per_line=6),
+    cache_ports=1, fu_counts=dict(enginediff.SCARCE_FUS), bht_entries=256)
+
+
+def _key(config):
+    return native.native_key(Processor(config))
+
+
+def test_native_key_ignores_sizing_but_not_flags():
+    assert _key(SIZING_A) == _key(SIZING_B)
+    assert _key(SIZING_A) == _key(virtual_physical_config(nrr=1))
+    flag_changes = (
+        conventional_config(),
+        virtual_physical_config(nrr=8, allocation=AllocationStage.ISSUE),
+        SIZING_A.with_(perfect_branch_prediction=True),
+        SIZING_A.with_(store_queue_size=16),
+        SIZING_A.with_(rf_model=True),
+        SIZING_A.with_(rf_model=True, rf_banks=2, rf_bank_read_ports=2),
+    )
+    keys = [_key(config) for config in flag_changes]
+    assert _key(SIZING_A) not in keys
+    assert len(set(keys)) == len(keys)
+    assert native.native_key(Processor(SIZING_A, idle_skip=False)) \
+        != _key(SIZING_A)
+
+
+def test_figure4_and_5_grids_need_three_artifacts():
+    configs = [conventional_config()] + [
+        virtual_physical_config(nrr=nrr, allocation=stage)
+        for stage in (AllocationStage.WRITEBACK, AllocationStage.ISSUE)
+        for nrr in NRR_SWEEP]
+    assert len({config.key() for config in configs}) == 13
+    assert len({_key(config) for config in configs}) == 3
+
+
+@needs_toolchain
+def test_native_one_library_serves_interleaved_sizing_points():
+    """A -> B -> A through one loaded library, each bit-identical to the
+    interpreter: any C-side state a run fails to reset (or a table sized
+    by an earlier run) shows up as a divergence on the way back."""
+    native.clear_cache()
+    for config in (SIZING_A, SIZING_B, SIZING_A):
+        processor, stats = _run(config, "native", n=3_000)
+        _, reference = _run(config, "interp", n=3_000)
+        assert processor.engine_used == "native"
+        assert stats["engine_fallbacks"] == 0
+        assert stats == reference
+    assert native.cache_info()["loaded_libraries"] == 1
+
+
+@needs_toolchain
+def test_native_artifact_outcomes_are_counted(tmp_path, monkeypatch):
+    """A second NRR of one flag vector is served from memory, not built;
+    a fresh process finds it on disk; no toolchain counts a failure."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    native.clear_cache()
+    outcomes = ("built", "disk", "memory", "failed")
+
+    def counts():
+        return {o: native._ARTIFACTS.value(outcome=o) for o in outcomes}
+
+    before = counts()
+    for nrr in (4, 16):
+        _run(virtual_physical_config(nrr=nrr), "native", n=1_000)
+    native.clear_cache()  # what a fresh process sees
+    _run(virtual_physical_config(nrr=32), "native", n=1_000)
+    monkeypatch.setattr(native, "_toolchain", None)
+    native.clear_cache()
+    _run(virtual_physical_config(nrr=32), "native", n=1_000)
+    native.clear_cache()
+    after = counts()
+    assert {o: after[o] - before[o] for o in outcomes} == {
+        "built": 1, "disk": 1, "memory": 1, "failed": 1}
+    assert len(list((tmp_path / "native").glob("engine-*.so"))) == 1
+    assert 'repro_native_artifacts_total{outcome="memory"}' \
+        in get_registry().render()
 
 
 @needs_toolchain
