@@ -21,8 +21,8 @@ Commands
 ``bench``
     Measure engine throughput (KIPS) per workload × renamer and write
     ``BENCH_engine.json``; optionally gate against a committed baseline.
-    ``--engine both`` A/Bs interp vs compiled; ``--engine all`` measures
-    all three tiers including the C-compiled native engine.
+    ``--engine all`` A/Bs the interpreter against the C-compiled native
+    engine.
 ``engines``
     Report cycle-engine tier availability on this host: the C toolchain
     probe, the native artifact cache, and what ``auto`` resolves to.
@@ -107,6 +107,7 @@ from repro.trace.generator import SyntheticTrace
 from repro.trace.io import save_trace
 from repro.trace.workloads import WORKLOADS, load_workload
 from repro.uarch.config import (
+    ENGINES,
     conventional_config,
     policy_config,
     virtual_physical_config,
@@ -168,20 +169,18 @@ def _config_for(args):
     return policy_config(args.scheme, nrr=nrr, **changes)
 
 
-def _add_engine_tier_arg(parser, both=False):
+def _add_engine_tier_arg(parser, all_tiers=False):
     """--engine: the cycle-engine tier (distinct from the *batch*
     engine's --jobs/--executor arguments)."""
-    choices = (["auto", "interp", "compiled", "native"]
-               + (["both", "all"] if both else []))
+    choices = ["auto", *ENGINES] + (["all"] if all_tiers else [])
     parser.add_argument(
         "--engine", choices=choices, default=None,
         help="cycle-engine tier: 'interp' is the reference interpreter, "
-             "'compiled' renders per-config specialized loops, 'native' "
-             "C-compiles them (both bit-identical to interp, faster; "
-             "native needs a C toolchain — see `repro engines`), 'auto' "
-             "(default) defers to REPRO_ENGINE"
-             + ("; 'both' measures an interp/compiled A/B, 'all' all "
-                "three tiers" if both else ""))
+             "'native' runs a C-compiled per-config loop (bit-identical "
+             "to interp, faster; needs a C toolchain — see `repro "
+             "engines`), 'auto' (default) defers to REPRO_ENGINE"
+             + ("; 'all' measures an interp/native A/B" if all_tiers
+                else ""))
 
 
 def _add_engine_args(parser):
@@ -533,18 +532,16 @@ def cmd_bench(args):
 
         if native.toolchain() is None:
             # Without a toolchain every native point would loudly fall
-            # back and measure the compiled tier — not what was asked.
+            # back and measure the interpreter — not what was asked.
             raise SystemExit(
                 "repro bench: --engine {} needs a C toolchain and none "
                 "was found (set REPRO_CC or install cc/gcc/clang; see "
                 "`repro engines`)".format(args.engine))
-    if args.engine in ("both", "all"):
-        engines = (("interp", "compiled", "native") if args.engine == "all"
-                   else ("interp", "compiled"))
+    if args.engine == "all":
         report = perf.measure_engines(
             workloads=workloads, schemes=schemes,
             instructions=args.instructions, skip=args.skip, seed=args.seed,
-            repeats=args.repeats, engines=engines,
+            repeats=args.repeats,
             progress=progress if not args.quiet else None)
     else:
         report = perf.measure_kips(
@@ -586,26 +583,30 @@ def cmd_engines(args):
     from repro.obs.health import engine_tier_report
 
     report = engine_tier_report()
+    auto = report["resolved_auto"]
+    # A REPRO_ENGINE that names no tier fails every auto-engine run.
+    rc = 1 if isinstance(auto, dict) else 0
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print("interp:   available (pure-Python reference interpreter)")
-    print("compiled: available (per-config generated Python loops)")
+        return rc
+    print("interp: available (pure-Python reference interpreter)")
     nat = report["native"]
     if nat["available"]:
         art = nat["artifacts"]
-        print(f"native:   available (toolchain {nat['toolchain']}, "
+        print(f"native: available (toolchain {nat['toolchain']}, "
               f"template {nat['template_fingerprint']}, "
               f"{art['artifacts']} cached artifact(s) in {art['dir']})")
     else:
         why = ("no C toolchain — set REPRO_CC or install cc/gcc/clang"
                if nat["toolchain"] is None
                else f"artifact dir {nat['cache_dir']} not writable")
-        print(f"native:   UNAVAILABLE ({why}); engine=native falls back "
-              "to compiled, counted in SimStats.engine_fallbacks")
-    print(f"auto resolves to: {report['resolved_auto']} "
-          "(REPRO_ENGINE overrides)")
-    return 0
+        print(f"native: UNAVAILABLE ({why}); engine=native falls back "
+              "to interp, counted in SimStats.engine_fallbacks")
+    if rc:
+        print(f"auto resolves to nothing: REPRO_ENGINE: {auto['error']}")
+    else:
+        print(f"auto resolves to: {auto} (REPRO_ENGINE overrides)")
+    return rc
 
 
 def cmd_cache_compact(args):
@@ -1126,7 +1127,7 @@ def build_parser():
     bench.add_argument("--seed", type=int, default=1234)
     bench.add_argument("--repeats", type=int, default=3,
                        help="runs per point; the median is kept (default 3)")
-    _add_engine_tier_arg(bench, both=True)
+    _add_engine_tier_arg(bench, all_tiers=True)
     bench.add_argument("--out", default="BENCH_engine.json",
                        help="report path (default: BENCH_engine.json; "
                             "'' disables)")

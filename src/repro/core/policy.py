@@ -228,7 +228,7 @@ class PolicyCapabilities:
     The same six flags :class:`RenamingPolicy` carries as class/instance
     attributes, declared once per *registered policy name* so the engine
     can resolve them without building a renamer: processor construction
-    and the compiled engine's specialization key both read them through
+    and the native engine's feature gate both read them through
     the cached :func:`policy_capabilities` lookup instead of
     re-resolving per instantiation inside grid sweeps.
 
@@ -275,7 +275,7 @@ class PolicyInfo:
     #: ``ProcessorConfig -> RenamingPolicy`` factory.
     build: object
     #: static capability flags (``None`` = unknown: the engine derives
-    #: them from the built instance and the compiled tier declines to
+    #: them from the built instance and the native tier declines to
     #: specialize for the policy).
     capabilities: PolicyCapabilities | None = None
 

@@ -14,18 +14,23 @@ __all__ = ["engine_tier_report"]
 def engine_tier_report():
     """Probe cycle-engine tier availability on this host.
 
-    Returns ``{"interp", "compiled", "native", "resolved_auto"}``:
-    the interpreter and compiled tiers are always available (pure
+    Returns one entry per tier of :data:`repro.uarch.config.ENGINES`
+    plus ``resolved_auto``: the interpreter is always available (pure
     Python), the native tier depends on a C toolchain and a writable
     artifact dir, and ``resolved_auto`` is the tier ``engine="auto"``
-    picks here.
+    picks here — or ``{"error": ...}`` when ``REPRO_ENGINE`` names no
+    tier, a setup fault this report exists to show, not to crash on.
     """
-    from repro.uarch import compiled, native
+    from repro.uarch import native
+    from repro.uarch.config import resolve_engine
 
+    try:
+        resolved = resolve_engine("auto")
+    except ValueError as exc:
+        resolved = {"error": str(exc)}
     return {
         "interp": {"available": True},
-        "compiled": {"available": True, "cache": compiled.cache_info()},
         "native": dict(native.probe(),
                        artifacts=native.artifact_stats()),
-        "resolved_auto": compiled.resolve_engine("auto"),
+        "resolved_auto": resolved,
     }

@@ -11,8 +11,8 @@ Profiling is **off by default and bit-identical when off**: with
 ``REPRO_PROFILE`` unset nothing touches the result, and even when on,
 only ``extra["profile"]`` changes — ``SimStats`` is never written to,
 and the result store strips the ``profile`` key before persisting so
-cached records are byte-identical either way.  The golden suites
-enforce this across the interpreted, compiled, and native tiers.
+cached records are byte-identical either way.  The golden suite
+enforces this on both the interpreted and the native tier.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import statistics
 import time
 
 from repro.trace.workloads import WORKLOADS
-from repro.uarch.config import policy_config
+from repro.uarch.config import ENGINES, policy_config
 from repro.uarch.processor import simulate
 
 #: The measured renamer policies by default: the paper's baseline and
@@ -44,7 +44,7 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
     """Measure KIPS for every workload × scheme point.
 
     ``engine`` selects the cycle-engine tier for every point
-    (``"interp"`` / ``"compiled"`` / ``"native"``; default ``None``
+    (``"interp"`` / ``"native"``; default ``None``
     keeps the config's ``"auto"``, deferring to ``REPRO_ENGINE``).
     Returns a JSON-compatible report::
 
@@ -83,9 +83,9 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
                 # register-file contention model on can never be
                 # confused with (or gated against) a port-free one.
                 "regfile": config.port_model(),
-                # Engine provenance: codegen fallbacks on a compiled-
-                # tier run mean the point silently measured the
-                # interpreter — surfaced, never hidden.
+                # Engine provenance: a fallback on a native-tier run
+                # means the point silently measured the interpreter —
+                # surfaced, never hidden.
                 "engine_fallbacks": result.stats.engine_fallbacks,
             }
             done += 1
@@ -111,18 +111,14 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
 
 
 def measure_engines(workloads=None, schemes=None, instructions=30_000,
-                    skip=3_000, seed=1234, repeats=3, progress=None,
-                    engines=("interp", "compiled")):
-    """Engine-tier A/B: the same grid under every tier in ``engines``.
+                    skip=3_000, seed=1234, repeats=3, progress=None):
+    """Engine-tier A/B: the same grid under interp, then native.
 
-    Returns the *last* tier's report shape (so ``format_report`` and
-    baseline gating keep working) extended with the per-tier
-    sub-reports and per-point speedups of the last tier over the
-    first — e.g. ``engines=("interp", "compiled", "native")`` reports
-    native-over-interp speedups with all three tiers' runs attached::
+    Returns the native report's shape (so ``format_report`` and
+    baseline gating keep working) extended with both tiers'
+    sub-reports and the per-point native-over-interp speedups::
 
-        {..., "engines": {"interp": {...}, "compiled": {...},
-                          "native": {...}},
+        {..., "engines": {"interp": {...}, "native": {...}},
          "speedup": {"li/conventional": 1.81, ...},
          "median_speedup": ...}
 
@@ -130,20 +126,19 @@ def measure_engines(workloads=None, schemes=None, instructions=30_000,
     recorded for trend tracking, not gated in CI (the differential
     suite gates correctness; machines vary too much to gate speed).
     """
-    reports = {}
-    for engine in engines:
-        reports[engine] = measure_kips(
+    reports = {
+        engine: measure_kips(
             workloads=workloads, schemes=schemes, instructions=instructions,
             skip=skip, seed=seed, repeats=repeats, progress=progress,
             engine=engine)
-    baseline, improved = engines[0], engines[-1]
+        for engine in ENGINES}
+    native_runs = reports["native"]["runs"]
     speedup = {
-        key: round(reports[improved]["runs"][key]["kips"]
-                   / max(run["kips"], 1e-9), 2)
-        for key, run in reports[baseline]["runs"].items()
+        key: round(native_runs[key]["kips"] / max(run["kips"], 1e-9), 2)
+        for key, run in reports["interp"]["runs"].items()
     }
-    combined = dict(reports[improved])
-    combined["engine"] = "+".join(engines)
+    combined = dict(reports["native"])
+    combined["engine"] = "+".join(ENGINES)
     combined["engines"] = reports
     combined["speedup"] = speedup
     combined["median_speedup"] = round(

@@ -5,7 +5,7 @@ One static HTML document served by the gateway at ``GET
 The page polls ``/v1/metrics.json`` and ``/v1/healthz`` every two
 seconds and renders cluster state (queue depths, rounds, points),
 per-tenant load (jobs, points, cache hits, degraded rounds), engine
-tier residency (interp/compiled/native), and the most recent jobs with
+tier residency (interp/native), and the most recent jobs with
 live progress.  When the gateway requires auth the operator pastes the
 shared token into the header field; it is kept in ``localStorage`` and
 sent as ``Authorization: Bearer`` on every poll.
@@ -103,14 +103,14 @@ function renderCards(m) {
 function renderTiers(h) {
   const e = (h && h.engines) || null;
   if (!e) { $("tiers").textContent = "healthz has no engine report"; return; }
+  const auto = e.resolved_auto || "?";  // {error} on a bad REPRO_ENGINE
   const pill = (ok) => ok
     ? '<span class="pill ok">available</span>'
     : '<span class="pill bad">unavailable</span>';
   $("tiers").innerHTML =
     `interp ${pill(e.interp && e.interp.available)} · ` +
-    `compiled ${pill(e.compiled && e.compiled.available)} · ` +
     `native ${pill(e.native && e.native.available)} · ` +
-    `auto → <b>${esc(e.resolved_auto || "?")}</b>`;
+    `auto → <b>${esc(auto.error || auto)}</b>`;
 }
 function renderTenants(m) {
   const t = m.tenants || {};

@@ -5,9 +5,9 @@ from repro.uarch.config import (
     RenamingScheme,
     conventional_config,
     policy_config,
+    resolve_engine,
     virtual_physical_config,
 )
-from repro.uarch.compiled import engine_key, resolve_engine
 from repro.uarch.dynamic import DynInstr
 from repro.uarch.functional_units import FunctionalUnitPool
 from repro.uarch.processor import Processor, SimulationDeadlock, simulate
@@ -22,7 +22,6 @@ __all__ = [
     "policy_config",
     "virtual_physical_config",
     "RegisterFilePorts",
-    "engine_key",
     "resolve_engine",
     "DynInstr",
     "FunctionalUnitPool",

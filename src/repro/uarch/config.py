@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -17,6 +18,28 @@ from repro.core.policy import AllocationStage, policy_name_for, resolve_policy
 from repro.isa.opcodes import DEFAULT_FU_COUNTS, FUKind
 from repro.isa.registers import NUM_LOGICAL_FP, NUM_LOGICAL_INT
 from repro.memory.cache import CacheConfig
+
+
+#: The cycle-engine tiers: "interp" is the reference interpreter every
+#: golden pin is captured on, "native" the C-compiled loop (uarch/native).
+ENGINES = ("interp", "native")
+
+
+def resolve_engine(requested):
+    """The effective engine tier for a request.
+
+    ``None`` and ``"auto"`` defer to the ``REPRO_ENGINE`` environment
+    variable, defaulting to ``"interp"`` — the conservative tier every
+    golden pin was recorded on.  Raises ``ValueError`` on an unknown
+    name (including an unknown ``REPRO_ENGINE`` value).
+    """
+    name = requested or "auto"
+    if name == "auto":
+        name = os.environ.get("REPRO_ENGINE", "").strip() or "interp"
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r}; choose interp, native or auto")
+    return name
 
 
 class RenamingScheme(Enum):
@@ -95,20 +118,17 @@ class ProcessorConfig:
     # Safety net: abort if nothing commits for this many cycles.
     deadlock_horizon: int = 200_000
     # Engine tier (execution strategy, not machine identity): "interp"
-    # runs the interpreter hot loop, "compiled" the per-config generated
-    # loop (uarch/compiled.py), "native" the C-compiled loop
-    # (uarch/native; falls back native -> compiled -> interp on any
-    # build failure, loudly via SimStats.engine_fallbacks), "auto"
-    # defers to REPRO_ENGINE (default interp).  All tiers are
-    # bit-identical by contract, so the field is excluded from key() —
-    # results cache across tiers.
+    # runs the interpreter hot loop, "native" the C-compiled loop
+    # (uarch/native; falls back to interp on any build failure, loudly
+    # via SimStats.engine_fallbacks), "auto" defers to REPRO_ENGINE
+    # (default interp).  Both tiers are bit-identical by contract, so
+    # the field is excluded from key() — results cache across tiers.
     engine: str = "auto"
 
     def __post_init__(self):
-        if self.engine not in ("auto", "interp", "compiled", "native"):
+        if self.engine not in ("auto", *ENGINES):
             raise ValueError(
-                f"engine={self.engine!r}; choose auto, interp, compiled "
-                "or native")
+                f"engine={self.engine!r}; choose auto, interp or native")
         if min(self.fetch_width, self.rename_width, self.issue_width,
                self.commit_width) < 1:
             raise ValueError("pipeline widths must be at least 1")

@@ -1,8 +1,8 @@
-"""Cross-engine differential harness: compiled/native vs interpreted.
+"""Cross-engine differential harness: native vs interpreted.
 
-The compiled engine (:mod:`repro.uarch.compiled`) and the native engine
-(:mod:`repro.uarch.native`) promise **bit-identical** ``SimStats`` with
-the interpreter for every configuration.  This module is the machinery
+The native engine (:mod:`repro.uarch.native`) promises
+**bit-identical** ``SimStats`` with the interpreter for every
+configuration.  This module is the machinery
 that checks the promise over the configuration space rather than at
 hand-picked points:
 
@@ -11,7 +11,7 @@ hand-picked points:
   model, idle skip, functional-unit mix, window geometry, physical
   register / NRR sizing;
 * a **point comparator** running one (config, workload) point under
-  the interpreter and a candidate engine and diffing the *complete*
+  the interpreter and the native engine and diffing the *complete*
   stats dumps;
 * a **shrinker** that reduces a failing sampled point to a minimal
   failing configuration by resetting axes back to their defaults one
@@ -19,7 +19,7 @@ hand-picked points:
   that matters, not forty irrelevant knobs.
 
 Used by ``tests/uarch/test_engine_differential.py`` (the correctness
-backbone of the compiled tier) and ``tools/engine_diff.py`` (the CI
+backbone of the native tier) and ``tools/engine_diff.py`` (the CI
 differential-sample step).
 """
 
@@ -138,39 +138,33 @@ def run_point(choice, workload, engine, instructions=DIFF_INSTRUCTIONS,
     return stats, processor.engine_used
 
 
-def expected_tier(choice, engine):
-    """The tier a point is *expected* to run on when ``engine`` is
+def expected_tier(choice):
+    """The tier a point is *expected* to run on when native is
     requested.
 
     The native tier only lowers fully-inlined specializations; the
     early-release policy keeps its rename hooks out-of-line, so a
-    native request lands on the compiled tier by the documented
-    fallback ladder — expected, not a failure.
+    native request lands on the interpreter by the documented
+    fallback — expected, not a failure.
     """
-    if engine == "native" and choice["policy"] == "early-release":
-        return "compiled"
-    return engine
+    return "interp" if choice["policy"] == "early-release" else "native"
 
 
-def compare_point(choice, workload, engine="compiled", **kwargs):
-    """Diff one point between the interpreter and ``engine``.
+def compare_point(choice, workload, **kwargs):
+    """Diff one point between the interpreter and the native engine.
 
     Returns a dict: ``ok`` (bit-identical and the point ran on
     :func:`expected_tier` — no silent fallback), ``engine_used``, and
-    ``mismatches`` — the per-field ``{field: (interp, candidate)}``
-    map, empty when identical.
+    ``mismatches`` — the per-field ``{field: (interp, native)}`` map,
+    empty when identical.
     """
     interp, _ = run_point(choice, workload, "interp", **kwargs)
-    candidate, used = run_point(choice, workload, engine, **kwargs)
-    expected = expected_tier(choice, engine)
-    if expected != engine:
-        # The fallback itself is counted in engine_fallbacks; on an
-        # *expected* fallback that counter legitimately differs from
-        # the interpreter's zero, so exclude it from the bit-diff.
-        interp = {k: v for k, v in interp.items()
-                  if k != "engine_fallbacks"}
-        candidate = {k: v for k, v in candidate.items()
-                     if k != "engine_fallbacks"}
+    candidate, used = run_point(choice, workload, "native", **kwargs)
+    expected = expected_tier(choice)
+    if expected == "interp" and "engine_fallbacks" in interp:
+        # An expected fallback is counted exactly once in the native
+        # run's engine_fallbacks; the interpreter's own run counts zero.
+        interp["engine_fallbacks"] = 1
     mismatches = {
         field: (interp.get(field), candidate.get(field))
         for field in sorted(set(interp) | set(candidate))

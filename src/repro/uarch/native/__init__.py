@@ -1,9 +1,8 @@
 """The native engine tier: C codegen + an on-disk artifact cache.
 
-The compiled tier (``repro.uarch.compiled``) removed the per-cycle
-Python overhead it could — re-hoisted state, configuration-dead
-branches — but the residual cost is CPython bytecode dispatch itself.
-This package lowers the same per-``ProcessorConfig`` specialization to
+The interpreter (:meth:`repro.uarch.processor.Processor._step`) pays
+CPython bytecode dispatch on every simulated cycle.  This package
+lowers a per-``ProcessorConfig`` specialization of the same loop to
 C99: a header holding only the ``F_*`` feature flags (plus the opcode
 decode tables and the counter and parameter slot numbers) is prepended
 to ``engine_template.c`` (one translation unit), compiled once with the
@@ -16,9 +15,8 @@ to ``repro_run`` at run time in one ``int64`` parameter block
 The trace is marshalled once into flat ``array``-module buffers, the
 whole run executes in native code, and a flat counter block is mapped
 back onto ``SimStats`` — the contract is **bit-identical** statistics
-with the interpreter, enforced by the same differential stack as the
-compiled tier (``tools/engine_diff.py``, golden replays, the chaos
-differential).
+with the interpreter, enforced by the differential stack
+(``tools/engine_diff.py``, golden replays, the chaos differential).
 
 Shared objects are cached under ``REPRO_CACHE_DIR/native/`` keyed by
 ``sha256(header + template)`` (:func:`native_key`).  The header depends
@@ -34,14 +32,13 @@ the same artifact.
 
 Everything degrades loudly but gracefully: no toolchain, a failed
 compile, an unspecializable processor, or a trace shape the C loop does
-not model falls back to the compiled tier (then the interpreter), with
-the reason recorded in :data:`build_failures` and the fallback counted
-in ``SimStats.engine_fallbacks``.
+not model falls back to the interpreter, with the reason recorded in
+:data:`build_failures` and the fallback counted in
+``SimStats.engine_fallbacks``.
 
 Known limitation: after a native run the renamer's *map-table and
 free-list contents* are not synced back (only their statistics
-counters are) — post-run code that inspects rename state should use
-the interpreted or compiled tiers.
+counters are) — inspect rename state on interp.
 """
 
 from __future__ import annotations
@@ -56,10 +53,12 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
+from repro.core.conventional import ConventionalRenamer
+from repro.core.policy import PolicyCapabilities, policy_capabilities
+from repro.core.virtual_physical import VirtualPhysicalRenamer
 from repro.isa.opcodes import FUKind, OP_DECODE
 from repro.isa.registers import CLASS_SHIFT, RegClass
 from repro.obs import metrics as _metrics
-from repro.uarch import compiled as _compiled
 
 try:
     import fcntl
@@ -132,6 +131,9 @@ N_PARAMS = len(_PARAM_NAMES)
 
 _PROBE_SOURCE = "int repro_probe(void) { return 42; }\n"
 
+#: "Never" on the event clock; the same sentinel as the interpreter's.
+_FAR_FUTURE = 1 << 60
+
 
 def _note_failure(reason):
     build_failures[reason] = build_failures.get(reason, 0) + 1
@@ -194,7 +196,7 @@ def clear_cache():
 
 
 def cache_info():
-    """Diagnostics mirroring :func:`repro.uarch.compiled.cache_info`."""
+    """Diagnostics: loaded libraries and recorded build failures."""
     return {
         "loaded_libraries": len(_LIB_CACHE),
         "build_failures": dict(build_failures),
@@ -212,29 +214,66 @@ def artifact_dir():
 
 
 def native_features(processor):
-    """``((flags, consts), None)`` or ``(None, reason)``.
+    """``(flag vector, None)`` or ``(None, reason)``.
 
-    The native tier supports exactly the fully-inlined specializations:
-    the compiled tier must be able to specialize the processor *and*
-    every subsystem hook must be inlinable (no instance-level
-    monkeypatching anywhere the C loop bypasses).
+    The flag vector is the ``F_*`` preprocessor flags of the processor,
+    the only part of its configuration an artifact is compiled for: a
+    tuple of ``(name, 0|1)`` pairs in a fixed order, so equal vectors
+    hash alike and share one artifact.
+
+    The C loop inlines every subsystem, so it refuses a policy
+    registered without a :class:`PolicyCapabilities` declaration (or
+    whose built renamer contradicts it — a guard against a drifted
+    re-registration), any renamer but the two built-in classes, and
+    any instance-level method override where the loop bypasses the
+    method (tests and tracers wrap them; class-level dispatch would
+    honor such wrappers, an inline body would not).
     """
-    features = _compiled.engine_features(processor)
-    if features is None:
+    cfg = processor.config
+    renamer = processor.renamer
+    try:
+        caps = policy_capabilities(cfg.policy)
+    except KeyError:
         return None, "unsupported-policy"
-    flags, _ = features
-    if not (flags["INLINE_RENAME"] and flags["FU_INLINE"]
-            and flags["BHT_INLINE"] and flags["POOLS"] and flags["GATE"]):
+    if caps is None or caps != PolicyCapabilities.of(renamer):
         return None, "unsupported-policy"
-    if flags["VP_INLINE"]:
-        if not flags["DISPATCH_HOOK"]:
+    overridden = set(renamer.__dict__)
+    conv = (type(renamer) is ConventionalRenamer
+            and not overridden & {"rename", "can_rename", "on_commit"})
+    vp = (type(renamer) is VirtualPhysicalRenamer
+          and not overridden & {"rename", "can_rename", "on_commit",
+                                "on_dispatch", "on_issue", "on_complete",
+                                "may_allocate_now", "_try_allocate",
+                                "_rename_sources"})
+    retry = bool(caps.supports_retry_gating and cfg.retry_gating)
+    if not ((conv or vp)
+            and not set(processor.fus.__dict__) & {"find_free",
+                                                   "claim_unit"}
+            and "update" not in processor.bht.__dict__
+            and processor._int_free is not None
+            and processor._rename_gate is not None):
+        return None, "unsupported-policy"
+    if vp:
+        if (not caps.has_dispatch_hook
+                or caps.holds_writers_in_iq != caps.has_complete_hook):
             return None, "unsupported-policy"
-        if flags["VP_WB"] != flags["COMPLETE_HOOK"]:
-            return None, "unsupported-policy"
-    elif (flags["COMPLETE_HOOK"] or flags["ISSUE_HOOK"]
-            or flags["DISPATCH_HOOK"] or flags["VP_WB"] or flags["RETRY"]):
+    elif (caps.has_complete_hook or caps.has_issue_hook
+            or caps.has_dispatch_hook or caps.holds_writers_in_iq or retry):
         return None, "unsupported-policy"
-    return features, None
+    rf = bool(cfg.rf_model)
+    return (
+        ("F_RF", int(rf)),
+        ("F_RF_BANKS", int(rf and processor.regfile.banks > 1)),
+        ("F_SQ", int(bool(cfg.store_queue_size))),
+        ("F_COMPLETE", int(caps.has_complete_hook)),
+        ("F_ISSUE", int(caps.has_issue_hook)),
+        ("F_VP_WB", int(caps.holds_writers_in_iq)),
+        ("F_RETRY", int(retry)),
+        ("F_IDLE", int(bool(processor._idle_skip))),
+        ("F_PERFECT", int(bool(cfg.perfect_branch_prediction))),
+        ("F_VP", int(vp)),
+        ("F_CONV", int(conv)),
+    ), None
 
 
 def _pristine(processor):
@@ -257,32 +296,10 @@ def _pristine(processor):
 # -- header rendering --------------------------------------------------------
 
 
-def _flag_vector(processor, flags):
-    """The ``F_*`` preprocessor flags of a processor: the only part of
-    its configuration an artifact is compiled for.  ``flags`` is the
-    first half of :func:`native_features`.  A tuple of ``(name, 0|1)``
-    pairs in a fixed order, so equal vectors hash alike and share one
-    artifact."""
-    rf_banked = flags["RF"] and processor.regfile.banks > 1
-    return (
-        ("F_RF", int(flags["RF"])),
-        ("F_RF_BANKS", int(rf_banked)),
-        ("F_SQ", int(bool(processor.config.store_queue_size))),
-        ("F_COMPLETE", int(flags["COMPLETE_HOOK"])),
-        ("F_ISSUE", int(flags["ISSUE_HOOK"])),
-        ("F_VP_WB", int(flags["VP_WB"])),
-        ("F_RETRY", int(flags["RETRY"])),
-        ("F_IDLE", int(flags["IDLE"])),
-        ("F_PERFECT", int(flags["PERFECT"])),
-        ("F_VP", int(flags["VP_INLINE"])),
-        ("F_CONV", int(flags["CONV"])),
-    )
-
-
 def render_header(fvec):
     """The header completing ``engine_template.c`` into one
     self-contained translation unit for the flag vector ``fvec`` (see
-    :func:`_flag_vector`): the ``F_*`` flags, the fixed tag-encoding
+    :func:`native_features`): the ``F_*`` flags, the fixed tag-encoding
     constants, the opcode decode tables and the counter and parameter
     slot numbers.  Nothing in it depends on a sizing value."""
     lines = ["/* generated by repro.uarch.native - do not edit */"]
@@ -292,7 +309,7 @@ def render_header(fvec):
         define(name, value)
     define("CLASS_SHIFT", CLASS_SHIFT)
     define("INDEX_MASK", (1 << CLASS_SHIFT) - 1)
-    define("FAR_FUTURE", f"INT64_C({_compiled._FAR_FUTURE})")
+    define("FAR_FUTURE", f"INT64_C({_FAR_FUTURE})")
 
     define("N_OPS", len(OP_DECODE))
     cols = {"OP_DEST_INIT": [], "OP_LOAD_INIT": [], "OP_STORE_INIT": [],
@@ -329,22 +346,27 @@ def native_key(processor):
     """Stable identity of the artifact a processor would compile, or
     ``None`` when it cannot run natively.  Hashes the *rendered* header
     plus the template text, so any semantic change to either produces a
-    new artifact; the header holds only the :func:`_flag_vector`, so
-    processors that differ only in sizing share one key."""
-    features, _ = native_features(processor)
-    if features is None:
-        return None
-    return _artifact_key(_flag_vector(processor, features[0]))
+    new artifact; the header holds only the flag vector, so processors
+    that differ only in sizing share one key."""
+    fvec, _ = native_features(processor)
+    return None if fvec is None else _artifact_key(fvec)
 
 
-def _param_block(processor, flags, consts):
+def _param_block(processor, fvec):
     """The ``int64`` parameter block ``repro_run`` sizes one run from,
-    laid out in :data:`_PARAM_NAMES` order; ``(flags, consts)`` is what
+    laid out in :data:`_PARAM_NAMES` order; ``fvec`` is what
     :func:`native_features` returned."""
     cfg = processor.config
     ren = processor.renamer
-    vp = flags["VP_INLINE"]
-    values = dict(consts)
+    vp = dict(fvec)["F_VP"]
+    values = dict(
+        FETCH_W=cfg.fetch_width, RENAME_W=cfg.rename_width,
+        ISSUE_W=cfg.issue_width, COMMIT_W=cfg.commit_width,
+        ROB_SIZE=cfg.rob_size, IQ_SIZE=cfg.iq_size,
+        FB_SIZE=cfg.fetch_buffer_size, READ_PORTS=cfg.read_ports,
+        WRITE_PORTS=cfg.write_ports,
+        COMMIT_DELAY=1 + processor._commit_extra,
+        HORIZON=cfg.deadlock_horizon)
     for cls, suffix in ((RegClass.INT, "INT"), (RegClass.FP, "FP")):
         values[f"NLR_{suffix}"] = ren.nlr[cls]
         values[f"NPR_{suffix}"] = ren.npr[cls]
@@ -359,7 +381,7 @@ def _param_block(processor, flags, consts):
         CACHE_PORTS=cfg.cache_ports, BHT_MASK=processor.bht._mask,
         SQ_CAP=cfg.store_queue_size or 0)
     rf = processor.regfile
-    if flags["RF"]:
+    if rf is not None:
         values.update(
             RF_RP=rf.read_ports, RF_WP=rf.write_ports, RF_BANKS=rf.banks,
             RF_BANK_RP=rf.bank_read_ports, RF_BANK_WP=rf.bank_write_ports)
@@ -411,13 +433,13 @@ def build_library(processor):
     artifact).  Each call counts one ``repro_native_artifacts_total``
     outcome: ``memory``, ``disk``, ``built`` or ``failed``.
     """
-    features, reason = native_features(processor)
-    if features is None:
+    fvec, reason = native_features(processor)
+    if fvec is None:
         return _failed(reason)
     cc = toolchain()
     if cc is None:
         return _failed("no-toolchain")
-    name = f"engine-{template_fingerprint()}-{native_key(processor)}.so"
+    name = f"engine-{template_fingerprint()}-{_artifact_key(fvec)}.so"
     lib = _LIB_CACHE.get(name)
     if lib is not None:
         _ARTIFACTS.inc(outcome="memory")
@@ -432,9 +454,7 @@ def build_library(processor):
             return _failed("cache-dir-unwritable")
         with _build_lock(directory):
             if not so_path.exists():  # a peer may have built it meanwhile
-                source = (render_header(_flag_vector(processor,
-                                                     features[0]))
-                          + _template_text())
+                source = render_header(fvec) + _template_text()
                 src_path = directory / f"{name[:-3]}.c"
                 tmp_path = directory / f".{name}.tmp-{os.getpid()}"
                 try:
@@ -502,7 +522,8 @@ def _ptr(arr):
 def _sync(processor, c, tags_arr, bht_arr):
     """Map the flat counter block back onto the live Python objects.
 
-    Mirrors the ``finally`` sync of the compiled tier plus the
+    Restores the machine state the interpreter would leave (clock,
+    window occupancy, cache tags, predictor counters) plus the
     subsystem counters ``_harvest_stats`` reads afterwards.
     """
     p = processor
@@ -582,7 +603,7 @@ def execute(processor, records):
 
     Returns ``True`` when the native tier ran and the processor's state
     was synced (the caller finishes with ``_harvest_stats`` exactly as
-    for the compiled tier), ``False`` on any fallback (reason recorded
+    after an interpreted run), ``False`` on any fallback (reason recorded
     in :data:`build_failures`), and raises ``SimulationDeadlock`` — with
     the interpreter's message prefix — when the simulation deadlocks.
     """
@@ -606,7 +627,7 @@ def execute(processor, records):
     if buffers is None:
         _note_failure(reason)
         return False
-    params = _param_block(processor, *native_features(processor)[0])
+    params = _param_block(processor, native_features(processor)[0])
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
@@ -627,8 +648,8 @@ def execute(processor, records):
         return True
     # rc 2: a C-side invariant check fired *before* any corrupting
     # write; nothing was synced, so the Python state is still clean and
-    # the compiled tier will reproduce the same crash the interpreter
-    # would raise.  rc 3: allocation failure, nothing ran.
+    # the interpreter re-runs the point and raises the same crash.
+    # rc 3: allocation failure, nothing ran.
     _note_failure("native-alloc" if rc == 3 else "native-invariant")
     return False
 
@@ -682,7 +703,7 @@ def probe():
     a working C compiler (probe-compiled, not just found on PATH) and a
     writable artifact cache directory.  ``available`` is the
     conjunction — when it is ``False``, ``engine=native`` falls back
-    to the compiled tier on every run (loudly, via
+    to the interpreter on every run (loudly, via
     ``SimStats.engine_fallbacks``).
     """
     cc = toolchain()

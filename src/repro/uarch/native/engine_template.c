@@ -2,9 +2,9 @@
  *
  * This file is the second half of a single translation unit: the Python
  * side (repro.uarch.native) renders a header holding only the F_*
- * feature flags of a ProcessorConfig (the same flags repro.uarch.compiled
- * specializes on, plus two derived from the store-queue and register-file
- * bank configuration), the opcode decode tables and the counter and
+ * feature flags of a ProcessorConfig (repro.uarch.native.native_features:
+ * policy hooks, port model, store queue, idle skip, branch oracle and the
+ * renamer family), the opcode decode tables and the counter and
  * parameter slot numbers, and prepends it to this template before
  * invoking the system C compiler.  Dead feature branches are dropped by
  * the preprocessor (#if F_*); every sizing value (register counts and
@@ -13,10 +13,11 @@
  * serves every sizing point of a flag vector and the whole trace runs in
  * one call.
  *
- * Stage semantics and ordering mirror repro/uarch/compiled.py's
- * _TEMPLATE line for line — when editing either, edit both (the
- * three-tier differential suite enforces the equivalence).  The
- * contract is bit-identical SimStats with the interpreter.
+ * Stage semantics and ordering mirror the reference interpreter,
+ * Processor._step in repro/uarch/processor.py — when editing either,
+ * edit both (the interp-vs-native differential suite enforces the
+ * equivalence).  The contract is bit-identical SimStats with the
+ * interpreter.
  *
  * Entry point:
  *   int64_t repro_run(n, params, rec_pc, rec_op, rec_dest, rec_src1,
@@ -26,7 +27,7 @@
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated or a parameter
  * block the loop cannot size (nothing is synced, the caller falls back
- * to the compiled tier which reproduces the same crash); 3 = out of
+ * to the interpreter, which reproduces the same crash); 3 = out of
  * memory (nothing ran, caller falls back).
  */
 
@@ -45,8 +46,7 @@ static const int8_t OP_LAT[N_OPS] = OP_LAT_INIT;
 static const uint8_t OP_PIPE[N_OPS] = OP_PIPE_INIT;
 
 /* ---- sizing (load_params fills these on every entry) ----------------
- * Named like the compiled tier's __NAME__ literals, so the loop body
- * reads line for line against repro/uarch/compiled.py. */
+ * Named like the P_* parameter slots they are read from. */
 
 static int64_t FETCH_W, RENAME_W, ISSUE_W, COMMIT_W, ROB_SIZE, IQ_SIZE,
     FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON;

@@ -66,7 +66,7 @@ from repro.core.tags import TAG_CLASS_SHIFT
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import RegClass
 from repro.memory.memory_system import MemorySystem
-from repro.uarch.config import ProcessorConfig
+from repro.uarch.config import ProcessorConfig, resolve_engine
 from repro.uarch.dynamic import DynInstr
 from repro.uarch.events import EventWheel
 from repro.uarch.functional_units import FunctionalUnitPool
@@ -90,7 +90,7 @@ class Processor:
         cfg = self.config
         # Engine tier: the explicit argument wins, else the config field
         # ("auto" defers to REPRO_ENGINE at run time — see
-        # repro.uarch.compiled.resolve_engine).  engine_used records the
+        # repro.uarch.config.resolve_engine).  engine_used records the
         # tier that actually ran.
         self._engine = engine if engine is not None else cfg.engine
         self.engine_used = None
@@ -191,16 +191,15 @@ class Processor:
             stream = itertools.islice(stream, max_instructions)
         self._trace = stream
         self._exhausted = False
-        from repro.uarch import compiled as _compiled
-
-        engine = _compiled.resolve_engine(self._engine)
+        engine = resolve_engine(self._engine)
         self.engine_used = "interp"
         # The native tier runs the whole trace in C.  It needs the
         # record list up front (one marshalling pass); on any build or
-        # marshalling failure it falls back to the compiled tier below,
+        # marshalling failure it falls back to the interpreter below,
         # counting the fallback.  Per-instance _step instrumentation
-        # forces the interpreter for the same reason as the compiled
-        # tier (silently: the request is reinterpreted, not failed).
+        # (tests and tracers monkeypatch it) forces the interpreter
+        # silently: a replaced _step would never be called by the C
+        # loop, so the request is reinterpreted, not failed.
         if engine == "native" and "_step" not in self.__dict__:
             from repro.uarch import native as _native
 
@@ -209,26 +208,13 @@ class Processor:
                 _native._note_failure("unbounded-trace")
             else:
                 records = list(stream)
-                self._trace = stream = iter(records)
+                self._trace = iter(records)
                 self.engine_used = "native"
                 if _native.execute(self, records):
                     self.stats.cycles = self.now
                     self._harvest_stats()
                     return SimResult(stats=self.stats, config=self.config)
                 self.engine_used = "interp"
-            self.stats.engine_fallbacks += 1
-        # The compiled tier takes over the whole run loop.  Per-instance
-        # _step instrumentation (tests monkeypatch it) forces the
-        # interpreter: a replaced _step would never be called by the
-        # specialized loop.
-        if engine in ("compiled", "native") and "_step" not in self.__dict__:
-            loop = _compiled.build_loop(self)
-            if loop is not None:
-                self.engine_used = "compiled"
-                loop()
-                self.stats.cycles = self.now
-                self._harvest_stats()
-                return SimResult(stats=self.stats, config=self.config)
             self.stats.engine_fallbacks += 1
         step = self._step  # honors per-instance test instrumentation
         horizon = self.config.deadlock_horizon

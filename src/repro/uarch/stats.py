@@ -47,10 +47,11 @@ class SimStats:
     int_reg_occupancy_sum: int = 0
     fp_reg_occupancy_sum: int = 0
     peak_rob: int = 0
-    # Engine-tier provenance: runs that requested the compiled engine but
-    # fell back to the interpreter (codegen failure).  Always 0 on the
-    # interpreted tier, so a silent fallback can never masquerade as a
-    # compiled run in a differential comparison.
+    # Engine-tier provenance: 1 when a run requested the native engine
+    # but fell back to the interpreter (no toolchain, a build or
+    # marshalling failure, a configuration the C loop does not lower).
+    # Always 0 on the interpreted tier, so a silent fallback can never
+    # masquerade as a native run in a differential comparison.
     engine_fallbacks: int = 0
 
     @property

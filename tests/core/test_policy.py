@@ -246,7 +246,7 @@ class TestSharedBaseHelpers:
 
 class TestCapabilityDeclarations:
     """The static registry capability declarations are the truth the
-    engine (and the compiled tier's specialization key) builds on —
+    engine (and the native tier's feature gate) builds on —
     they must match the flags of an actually-built renamer, and resolve
     through a cache rather than per processor construction."""
 
@@ -266,24 +266,24 @@ class TestCapabilityDeclarations:
 
     def test_capability_lookup_cached_across_constructions(self):
         """A sweep constructing many processors (and deriving their
-        compiled-engine keys) resolves each policy's flags and name
+        native feature vectors) resolves each policy's flags and name
         once — not once per construction (the hoisted per-config
         lookup regression pin)."""
         from repro.core.policy import _policy_name_cache, policy_capabilities
-        from repro.uarch import compiled
+        from repro.uarch import native
         from repro.uarch.processor import Processor
 
         policy_capabilities.cache_clear()
         _policy_name_cache.cache_clear()
         configs = (ProcessorConfig(), virtual_physical_config(nrr=8))
         for config in configs:  # warm both cached lookups
-            compiled.engine_features(Processor(config))
+            native.native_features(Processor(config))
         caps_misses = policy_capabilities.cache_info().misses
         name_misses = _policy_name_cache.cache_info().misses
         for _ in range(25):
             for config in configs:
-                assert compiled.engine_features(
-                    Processor(config)) is not None
+                assert native.native_features(
+                    Processor(config))[0] is not None
         caps_info = policy_capabilities.cache_info()
         assert caps_info.misses == caps_misses
         assert caps_info.hits >= 50

@@ -139,78 +139,3 @@ class TestActivation:
         install(FaultPlan.from_string("remote.heartbeat"))
         assert fault("remote.connect") is False
         assert fault("remote.heartbeat") is True
-
-
-class TestEngineTierFaultDifferential:
-    """The fault layer's cross-engine differential, unit-sized.
-
-    ``tools/chaos_smoke.py`` replays the full distributed chaos under
-    the compiled cycle engine; these tests pin the two in-process
-    halves of the same contract: precise-exception injection inside
-    the simulator, and a seeded ``REPRO_FAULTS`` store-chaos plan
-    around it, must both leave the compiled tier bit-identical to the
-    serial interpreted reference.
-    """
-
-    def _faulted_stats(self, policy, engine, fault_commits=(5, 40, 75)):
-        from repro.trace.generator import SyntheticTrace
-        from repro.trace.workloads import load_workload
-        from repro.uarch.config import policy_config
-        from repro.uarch.processor import Processor
-
-        kwargs = {"nrr": 8} if policy.startswith("vp-") else {}
-        processor = Processor(policy_config(policy, **kwargs),
-                              engine=engine)
-        processor.inject_faults(fault_commits)
-        result = processor.run(SyntheticTrace(load_workload("li"), seed=7),
-                               max_instructions=3_000, skip=300)
-        return processor, result.stats.to_dict()
-
-    @pytest.mark.parametrize("policy",
-                             ["conventional", "vp-writeback", "vp-issue"])
-    def test_precise_exception_replay_identical_across_engines(self, policy):
-        interp_proc, interp = self._faulted_stats(policy, "interp")
-        compiled_proc, compiled = self._faulted_stats(policy, "compiled")
-        assert interp_proc.engine_used == "interp"
-        assert compiled_proc.engine_used == "compiled", (
-            "codegen fell back under fault injection")
-        assert compiled == interp
-        assert compiled["faults"] > 0, (
-            "the injected faults never fired; the differential is vacuous")
-
-    def test_store_chaos_under_compiled_engine_matches_reference(
-            self, tmp_path):
-        """A seeded ``REPRO_FAULTS`` plan tearing and corrupting store
-        appends around compiled-engine runs: every delivered result
-        must still equal the interpreted serial reference."""
-        from repro.engine import BatchEngine, RunSpec
-        from repro.engine.store import ResultStore
-        from repro.uarch.config import conventional_config
-
-        def comparable(result):
-            # Strip the config's non-semantic engine pin (the one field
-            # ProcessorConfig.key() also excludes) so the interpreted
-            # reference and the compiled run compare on substance.
-            d = result.to_dict()
-            d["config"] = {k: v for k, v in d["config"].items()
-                           if k != "engine"}
-            return d
-
-        specs = [RunSpec("go", conventional_config()).resolved(
-            1_500, 150, seed) for seed in range(3)]
-        reference = [comparable(r) for r in BatchEngine().run(specs)]
-
-        install(FaultPlan.from_string(
-            "seed=11;store.torn_append:n=1;store.corrupt_append:n=1"))
-        compiled_specs = [
-            RunSpec("go", conventional_config(engine="compiled")).resolved(
-                1_500, 150, seed) for seed in range(3)]
-        engine = BatchEngine(store=ResultStore(tmp_path))
-        chaotic = [comparable(r) for r in engine.run(compiled_specs)]
-        assert active_plan().report()["fired"], (
-            "the store-chaos plan never fired; the test exercised nothing")
-        assert chaotic == reference
-        # engine_fallbacks rides the stats dump: zero here proves the
-        # codegen tier itself (not a silent interpreter fallback)
-        # produced the matching numbers.
-        assert all(r["stats"]["engine_fallbacks"] == 0 for r in chaotic)

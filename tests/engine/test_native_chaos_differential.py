@@ -5,7 +5,7 @@ store) must hold unchanged when the specs underneath are pinned to the
 C-compiled native tier: every surviving result is bit-identical to a
 serial *interpreted* reference, and simulator-level precise-exception
 injection — which the native tier refuses by design — degrades loudly
-onto the compiled tier rather than diverging or crashing.
+onto the interpreter rather than diverging or crashing.
 
 Everything here is in-process and quick; the cross-process version
 (native-pinned specs through dying workers) is
@@ -19,7 +19,11 @@ from repro.engine.faults import ENV_VAR, FaultPlan, clear, install
 from repro.trace.generator import materialized_trace
 from repro.trace.workloads import load_workload
 from repro.uarch import native
-from repro.uarch.config import conventional_config, virtual_physical_config
+from repro.uarch.config import (
+    conventional_config,
+    policy_config,
+    virtual_physical_config,
+)
 from repro.uarch.processor import Processor
 
 pytestmark = pytest.mark.skipif(
@@ -98,28 +102,32 @@ def test_native_store_chaos_differential(tmp_path):
         assert _comparable(stored) == _comparable(ref)
 
 
-def test_native_refuses_precise_exception_injection():
+@pytest.mark.parametrize("policy",
+                         ["conventional", "vp-writeback", "vp-issue"])
+def test_native_refuses_precise_exception_injection(policy):
     """Simulator-level fault injection (``inject_faults``) is outside
-    the native tier's lowered subset: the run must land on the compiled
-    tier — one counted fallback, a recorded refusal reason — and stay
-    bit-identical to the interpreter with the same injection."""
+    the native tier's lowered subset: the run must land on the
+    interpreter — one counted fallback, a recorded refusal reason — and
+    stay bit-identical to an interpreted run with the same injection,
+    for the conventional renamer and both VP allocation stages."""
     records = materialized_trace(load_workload("li"), 1234,
                                  SKIP + INSTRUCTIONS)
+    nrr = {"nrr": 8} if policy.startswith("vp-") else {}
 
     def run(engine):
-        processor = Processor(conventional_config(engine=engine))
-        processor.inject_faults([300])
+        processor = Processor(policy_config(policy, engine=engine, **nrr))
+        processor.inject_faults([5, 300, 900])
         result = processor.run(iter(records),
                                max_instructions=INSTRUCTIONS, skip=SKIP)
         return processor, result.stats.to_dict()
 
     interp, expected = run("interp")
     assert interp.engine_used == "interp"
-    assert expected["faults"] == 1  # the exception actually fired
+    assert expected["faults"] == 3  # every exception actually fired
 
     native.clear_cache()
     nat, stats = run("native")
-    assert nat.engine_used == "compiled"
+    assert nat.engine_used == "interp"
     assert stats.pop("engine_fallbacks") == 1
     assert native.build_failures.get("fault-injection") == 1
     expected = dict(expected)

@@ -149,11 +149,19 @@ class TestHealthz:
         status, _, body = raw_get(handle, "/v1/healthz")
         assert status == 200
         engines = json.loads(body)["engines"]
+        assert set(engines) == {"interp", "native", "resolved_auto"}
         assert engines["interp"]["available"] is True
-        assert engines["compiled"]["available"] is True
         assert "available" in engines["native"]
-        assert engines["resolved_auto"] in ("interp", "compiled",
-                                            "native")
+        assert engines["resolved_auto"] in ("interp", "native")
+
+    def test_healthz_reports_a_bad_repro_engine(self, gateway,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        _, handle = gateway
+        status, _, body = raw_get(handle, "/v1/healthz")
+        assert status == 200
+        error = json.loads(body)["engines"]["resolved_auto"]["error"]
+        assert "'compiled'" in error and "native" in error
 
     def test_engine_probe_is_cached(self, gateway):
         gw, handle = gateway

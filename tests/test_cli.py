@@ -1,8 +1,18 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.uarch import native
+
+needs_toolchain = pytest.mark.skipif(
+    native.toolchain() is None,
+    reason="native tier needs a C toolchain (cc/gcc/clang or $REPRO_CC)")
+
+#: What a ``REPRO_ENGINE`` naming the removed ``compiled`` tier reports.
+BAD_ENGINE = "unknown engine 'compiled'; choose interp, native or auto"
 
 
 class TestParsing:
@@ -20,6 +30,16 @@ class TestParsing:
         assert args.scheme == "vp-issue"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "swim", "--scheme", "magic"])
+
+    def test_engine_choices_are_interp_and_native(self, capsys):
+        args = build_parser().parse_args(
+            ["run", "swim", "--engine", "native"])
+        assert args.engine == "native"
+        for argv in (["run", "swim", "--engine", "compiled"],
+                     ["bench", "--engine", "both"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "'native'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -50,6 +70,53 @@ class TestCommands:
         rc = main(["run", "swim", "-n", "300", "--skip", "50",
                    "--scheme", "vp-writeback", "--phys", "48"])
         assert rc == 0
+
+    @pytest.mark.parametrize("env, auto, last", [
+        ("", "interp", "auto resolves to: interp (REPRO_ENGINE overrides)"),
+        ("compiled", {"error": BAD_ENGINE},
+         f"auto resolves to nothing: REPRO_ENGINE: {BAD_ENGINE}")])
+    def test_engines_lists_two_tiers(self, capsys, monkeypatch, env, auto,
+                                     last):
+        """A ``REPRO_ENGINE`` naming no tier is reported (rc 1)."""
+        monkeypatch.setenv("REPRO_ENGINE", env)
+        rc = 1 if env else 0
+        assert main(["engines"]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == [
+            "interp", "native"]
+        assert lines[2:] == [last]
+        assert main(["engines", "--json"]) == rc
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"interp", "native", "resolved_auto"}
+        assert report["interp"] == {"available": True}
+        assert report["resolved_auto"] == auto
+
+    def test_engines_without_toolchain_falls_back_to_interp(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(native, "_toolchain", None)
+        assert main(["engines"]) == 0
+        out = capsys.readouterr().out
+        assert "native: UNAVAILABLE (no C toolchain" in out
+        assert "engine=native falls back to interp" in out
+
+    @needs_toolchain
+    def test_bench_engine_all_measures_interp_then_native(
+            self, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--engine", "all", "--workloads", "go",
+                     "--schemes", "conventional", "-n", "300",
+                     "--skip", "50", "--repeats", "1", "--quiet",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["engine"], list(report["engines"])) == (
+            "interp+native", ["interp", "native"])
+        assert set(report["speedup"]) == set(report["runs"])
+        assert "median speedup" in capsys.readouterr().out
+
+    def test_bench_engine_all_needs_a_toolchain(self, monkeypatch):
+        monkeypatch.setattr(native, "_toolchain", None)
+        with pytest.raises(SystemExit, match="needs a C toolchain"):
+            main(["bench", "--engine", "all", "--quiet"])
 
     def test_compare(self, capsys):
         rc = main(["compare", "go", "-n", "400", "--skip", "50"])

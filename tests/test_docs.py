@@ -66,7 +66,8 @@ def test_quickstart_smoke_blocks_are_marked():
     # The cluster walkthrough really exercises the remote backend.
     assert any("--workers" in source for _, source in engine_blocks)
     # The engine-tier A/B really runs both tiers and compares them.
-    assert any("--engine interp" in source and "--engine compiled" in source
+    assert any("for tier in interp native" in source
+               and '--engine "$tier"' in source
                and "engine_fallbacks" in source
                for _, source in engine_blocks)
     # The policy walkthrough really exercises the registry + port model.

@@ -1,7 +1,7 @@
-"""Cross-engine differential suite: compiled tier == interpreter, bit
+"""Cross-engine differential suite: native tier == interpreter, bit
 for bit.
 
-The compiled engine's only contract is that it is *undetectable* in the
+The native engine's only contract is that it is *undetectable* in the
 results: for every configuration the full ``SimStats`` dump must equal
 the interpreter's.  This suite checks the contract three ways:
 
@@ -11,10 +11,12 @@ the interpreter's.  This suite checks the contract three ways:
 * a randomized property run whose failures are *shrunk* to a minimal
   failing configuration before being reported,
 * direct unit coverage of engine selection, fallback accounting, and
-  specialization caching.
+  the artifact cache.
 """
 
-import os
+import importlib.util
+import json
+import pathlib
 
 import pytest
 
@@ -22,15 +24,21 @@ from repro.core.virtual_physical import AllocationStage
 from repro.experiments.figures import NRR_SWEEP
 from repro.memory.cache import CacheConfig
 from repro.obs.metrics import get_registry
-from repro.uarch import compiled, enginediff, native
+from repro.uarch import enginediff, native
 from repro.uarch.config import (
     ProcessorConfig,
     conventional_config,
+    policy_config,
+    resolve_engine,
     virtual_physical_config,
 )
 from repro.uarch.processor import Processor
 from repro.trace.generator import materialized_trace
 from repro.trace.workloads import load_workload
+
+needs_toolchain = pytest.mark.skipif(
+    native.toolchain() is None,
+    reason="native tier needs a C toolchain (cc/gcc/clang or $REPRO_CC)")
 
 
 def _trace(workload="li", n=6_500, seed=1234):
@@ -49,8 +57,9 @@ def _run(config, engine, workload="li", n=6_000, skip=500, idle=True):
 SAMPLED = enginediff.sample_space(16, seed=2026)
 
 
+@needs_toolchain
 @pytest.mark.parametrize("index", range(len(SAMPLED)))
-@pytest.mark.parametrize("workload", ("li", "swim"))
+@pytest.mark.parametrize("workload", enginediff.DIFF_WORKLOADS)
 def test_sampled_config_bit_identical(index, workload):
     choice = SAMPLED[index]
     outcome = enginediff.compare_point(choice, workload)
@@ -59,6 +68,7 @@ def test_sampled_config_bit_identical(index, workload):
         f"(engine_used={outcome['engine_used']}): {outcome['mismatches']}")
 
 
+@needs_toolchain
 def test_randomized_property_with_shrinking():
     """Random axis combinations; failures report a *minimal* config."""
     for i, choice in enumerate(enginediff.sample_space(12, seed=97)):
@@ -79,61 +89,117 @@ def test_shrinker_reaches_fixpoint_on_synthetic_failure(monkeypatch):
     """The shrinker strips irrelevant axes from a synthetic failure."""
     # Fail exactly when the scarce-FU axis is off-default; every other
     # axis must be shrunk away.
-    real = enginediff.compare_point
-
     def fake(choice, workload, **kwargs):
         if choice["fus"] == "scarce":
-            return {"ok": False, "engine_used": "compiled",
+            return {"ok": False, "engine_used": "native",
                     "mismatches": {"cycles": (1, 2)}}
-        return {"ok": True, "engine_used": "compiled", "mismatches": {}}
+        return {"ok": True, "engine_used": "native", "mismatches": {}}
 
     monkeypatch.setattr(enginediff, "compare_point", fake)
-    try:
-        noisy = enginediff.default_choice()
-        noisy["fus"] = "scarce"
-        noisy["idle_skip"] = False
-        noisy["perfect_bp"] = True
-        noisy["regs"] = (48, 16)
-        small, workload = enginediff.shrink(dict(noisy), "swim")
-    finally:
-        monkeypatch.setattr(enginediff, "compare_point", real)
+    noisy = enginediff.default_choice()
+    noisy["fus"] = "scarce"
+    noisy["idle_skip"] = False
+    noisy["perfect_bp"] = True
+    noisy["regs"] = (48, 16)
+    small, workload = enginediff.shrink(dict(noisy), "swim")
     defaults = enginediff.default_choice()
     assert small["fus"] == "scarce"
     assert workload == enginediff.DIFF_WORKLOADS[0]
     assert all(small[a] == defaults[a] for a in small if a != "fus")
 
 
+def test_run_sample_reports_every_point_and_shrunk_failures(monkeypatch):
+    """The CI sweep counts every config x workload point and reports
+    each failing one by its minimal reproducer."""
+    def fake(choice, workload, **kwargs):
+        ok = choice["fus"] != "scarce"
+        return {"ok": ok, "engine_used": "native",
+                "mismatches": {} if ok else {"cycles": (1, 2)}}
+
+    monkeypatch.setattr(enginediff, "compare_point", fake)
+    ticks = []
+    report = enginediff.run_sample(24, seed=2026, workloads=("swim", "go"),
+                                   progress=lambda *tick: ticks.append(tick))
+    scarce = [c for c in enginediff.sample_space(24, 2026)
+              if c["fus"] == "scarce"]
+    assert scarce  # the single-axis probes include the FU axis
+    assert (report["configs"], report["points"], report["ok"]) == (
+        24, 48, False)
+    assert ticks == [(i, 48) for i in range(1, 49)]
+    assert [(f["point"], f["mismatches"]) for f in report["failures"]] == [
+        ("li: fus='scarce'", {"cycles": [1, 2]})] * (2 * len(scarce))
+
+
+@needs_toolchain
+def test_engine_diff_tool_writes_a_passing_report(tmp_path, capsys):
+    path = pathlib.Path(__file__).parents[2] / "tools" / "engine_diff.py"
+    spec = importlib.util.spec_from_file_location("engine_diff", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tmp_path / "engine_diff.json"
+    assert tool.main(["--configs", "2", "--workloads", "li", "--quiet",
+                      "--report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["points"], report["failures"]) == (2, [])
+    assert "bit-identical between interp and native" in \
+        capsys.readouterr().out
+    with pytest.raises(SystemExit):  # no tier to pick any more
+        tool.main(["--engine", "native"])
+
+
 # ---- engine selection and fallback -------------------------------------
 
 def test_resolve_engine_names_and_env(monkeypatch):
-    assert compiled.resolve_engine("interp") == "interp"
-    assert compiled.resolve_engine("compiled") == "compiled"
+    assert resolve_engine("interp") == "interp"
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert compiled.resolve_engine(None) == "interp"
-    assert compiled.resolve_engine("auto") == "interp"
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert compiled.resolve_engine("auto") == "compiled"
+    assert resolve_engine(None) == "interp"
+    assert resolve_engine("auto") == "interp"
     monkeypatch.setenv("REPRO_ENGINE", " interp ")
-    assert compiled.resolve_engine(None) == "interp"
+    assert resolve_engine(None) == "interp"
     with pytest.raises(ValueError):
-        compiled.resolve_engine("turbo")
+        resolve_engine("turbo")
     monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError):
-        compiled.resolve_engine("auto")
+        resolve_engine("auto")
 
 
-def test_env_selects_compiled_engine(monkeypatch):
+def test_resolve_engine_accepts_native(monkeypatch):
+    assert resolve_engine("native") == "native"
+    monkeypatch.setenv("REPRO_ENGINE", "native")
+    assert resolve_engine("auto") == "native"
+    assert resolve_engine(None) == "native"
+
+
+def test_resolve_engine_rejects_removed_compiled_tier(monkeypatch):
+    """``"compiled"`` is no tier: naming it is an error that points at
+    native, whether it comes from the argument, the config field or
+    ``REPRO_ENGINE``."""
+    with pytest.raises(ValueError, match="native"):
+        resolve_engine("compiled")
+    with pytest.raises(ValueError, match="native"):
+        ProcessorConfig(engine="compiled")
     monkeypatch.setenv("REPRO_ENGINE", "compiled")
+    with pytest.raises(ValueError, match="native"):
+        resolve_engine("auto")
+    with pytest.raises(ValueError, match="native"):
+        Processor(ProcessorConfig()).run(_trace(n=200),
+                                         max_instructions=100)
+
+
+@needs_toolchain
+def test_env_selects_native_engine(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "native")
     processor, stats = _run(ProcessorConfig(), engine=None, n=2_000)
-    assert processor.engine_used == "compiled"
+    assert processor.engine_used == "native"
     assert stats["engine_fallbacks"] == 0
 
 
+@needs_toolchain
 def test_config_engine_field_selects_tier(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    processor, _ = _run(ProcessorConfig(engine="compiled"), engine=None,
+    processor, _ = _run(ProcessorConfig(engine="native"), engine=None,
                         n=2_000)
-    assert processor.engine_used == "compiled"
+    assert processor.engine_used == "native"
     processor, _ = _run(ProcessorConfig(engine="interp"), engine=None,
                         n=2_000)
     assert processor.engine_used == "interp"
@@ -143,19 +209,18 @@ def test_fallback_on_capability_mismatch_is_counted():
     """A renamer whose instance flags contradict its registered
     capabilities must fall back to the interpreter, counted once."""
     config = virtual_physical_config(nrr=8)
-    processor = Processor(config, engine="compiled")
+    processor = Processor(config, engine="native")
     processor.renamer.has_complete_hook = not processor.renamer.has_complete_hook
-    # Restore coherence enough to run: flip back the behaviourally
-    # meaningful flag after feature detection sees the mismatch.
+    assert native.native_features(processor) == (None, "unsupported-policy")
     result = processor.run(_trace(n=2_500), max_instructions=2_000, skip=0)
     assert processor.engine_used == "interp"
     assert result.stats.engine_fallbacks == 1
 
 
-def test_instrumented_step_disables_compiled_engine():
+def test_instrumented_step_disables_native_engine():
     """Per-instance _step instrumentation (tracers, tests) wins."""
     calls = []
-    processor = Processor(ProcessorConfig(), engine="compiled")
+    processor = Processor(ProcessorConfig(), engine="native")
     original = processor._step
 
     def counting_step():
@@ -166,15 +231,16 @@ def test_instrumented_step_disables_compiled_engine():
     result = processor.run(_trace(n=2_500), max_instructions=2_000, skip=0)
     assert processor.engine_used == "interp"
     assert calls, "instrumented _step was bypassed"
-    # Not a codegen failure: nothing is counted as a fallback.
+    # Not a native failure: the request is reinterpreted, not counted.
     assert result.stats.engine_fallbacks == 0
 
 
-def test_method_override_on_renamer_disables_inline_specialization():
-    """An instance-level renamer method override must still be honored
-    (the inline fast path is disabled, not the compiled tier)."""
-    config = ProcessorConfig()
-    processor = Processor(config, engine="compiled")
+def test_method_override_on_renamer_falls_back_to_interp():
+    """An instance-level renamer method override must still be honored:
+    the C loop inlines the renamer, so the run lands on the
+    interpreter (one counted fallback) and the override sees every
+    commit."""
+    processor = Processor(ProcessorConfig(), engine="native")
     seen = []
     inner = processor.renamer.on_commit
 
@@ -183,110 +249,82 @@ def test_method_override_on_renamer_disables_inline_specialization():
         return inner(instr)
 
     processor.renamer.on_commit = spying_on_commit
-    flags, _ = compiled.engine_features(processor)
-    assert not flags["CONV"] and not flags["INLINE_RENAME"]
+    assert native.native_features(processor) == (None, "unsupported-policy")
     result = processor.run(_trace(n=2_500), max_instructions=2_000, skip=0)
-    assert processor.engine_used == "compiled"
+    assert processor.engine_used == "interp"
+    assert result.stats.engine_fallbacks == 1
     assert len(seen) == result.stats.committed
-
-
-# ---- specialization cache ----------------------------------------------
-
-def test_specializations_shared_across_equal_configs():
-    compiled.clear_cache()
-    try:
-        for _ in range(3):
-            processor, _ = _run(ProcessorConfig(), "compiled", n=1_500)
-            assert processor.engine_used == "compiled"
-        info = compiled.cache_info()
-        assert info["specializations"] == 1
-        assert info["build_failures"] == {}
-    finally:
-        compiled.clear_cache()
-
-
-def test_engine_key_stable_and_distinguishes_features():
-    base = Processor(ProcessorConfig(), engine="compiled")
-    again = Processor(ProcessorConfig(), engine="compiled")
-    other = Processor(ProcessorConfig(rob_size=64), engine="compiled")
-    assert compiled.engine_key(base) == compiled.engine_key(again)
-    assert compiled.engine_key(base) != compiled.engine_key(other)
-
-
-def test_specialized_source_drops_dead_branches():
-    plain = compiled.specialized_source(Processor(ProcessorConfig()))
-    ported = compiled.specialized_source(
-        Processor(ProcessorConfig(rf_model=True)))
-    assert "rf_claim_write" not in plain
-    assert "rf_claim_write" in ported
-    assert "#@" not in plain  # directives fully consumed
-    assert str(ProcessorConfig().rob_size) in plain  # consts baked
-
-
-def test_code_cache_lru_bound_and_counters(monkeypatch):
-    """The in-process specialization cache is LRU-bounded: filling it
-    past the cap evicts the oldest entry and counts the eviction."""
-    compiled.clear_cache()
-    monkeypatch.setattr(compiled, "_CACHE_CAP", 2)
-    try:
-        # Three distinct specializations (ROB size is a baked const).
-        for rob in (128, 64, 32):
-            _run(ProcessorConfig(rob_size=rob), "compiled", n=600, skip=0)
-        info = compiled.cache_info()
-        assert info["specializations"] == 2  # bounded, oldest evicted
-        assert info["misses"] == 3 and info["evictions"] == 1
-        # Re-running an evicted config is a miss; a cached one a hit.
-        _run(ProcessorConfig(rob_size=128), "compiled", n=600, skip=0)
-        _run(ProcessorConfig(rob_size=128), "compiled", n=600, skip=0)
-        info = compiled.cache_info()
-        assert info["misses"] == 4 and info["hits"] == 1
-    finally:
-        compiled.clear_cache()
 
 
 # ---- native tier --------------------------------------------------------
 
-needs_toolchain = pytest.mark.skipif(
-    native.toolchain() is None,
-    reason="native tier needs a C toolchain (cc/gcc/clang or $REPRO_CC)")
-
-
-def test_resolve_engine_accepts_native(monkeypatch):
-    assert compiled.resolve_engine("native") == "native"
-    monkeypatch.setenv("REPRO_ENGINE", "native")
-    assert compiled.resolve_engine("auto") == "native"
-    assert compiled.resolve_engine(None) == "native"
-
-
 def test_native_expected_tier_for_early_release():
     choice = enginediff.default_choice()
-    assert enginediff.expected_tier(choice, "native") == "native"
+    assert enginediff.expected_tier(choice) == "native"
     choice["policy"] = "early-release"
-    assert enginediff.expected_tier(choice, "native") == "compiled"
-    assert enginediff.expected_tier(choice, "compiled") == "compiled"
+    assert enginediff.expected_tier(choice) == "interp"
 
 
-def test_native_unavailable_falls_back_to_compiled(monkeypatch):
-    """Without a toolchain the ladder lands on the compiled tier —
-    loudly (one counted fallback), never a crash."""
+def test_native_unavailable_falls_back_to_interp(monkeypatch):
+    """Without a toolchain the run lands on the interpreter — loudly
+    (one counted fallback), never a crash."""
     monkeypatch.setattr(native, "_toolchain", None)
     native.clear_cache()
     processor, stats = _run(ProcessorConfig(), "native", n=2_000)
-    assert processor.engine_used == "compiled"
+    assert processor.engine_used == "interp"
     assert stats["engine_fallbacks"] == 1
     assert native.build_failures.get("no-toolchain", 0) >= 1
     native.clear_cache()
 
 
+def _unsizable_param_block(processor, fvec, _real=native._param_block):
+    block = _real(processor, fvec)
+    block[native._PARAM_NAMES.index("FU_N_0")] = -1  # the C side: rc 2
+    return block
+
+
+#: More ways a native request misses: ``case -> (config, run overrides,
+#: processor state, native module patch, recorded reason)``.  The
+#: interpreted reference run gets the same overrides and state.
+FALLBACKS = {
+    "early-release": (policy_config("early-release"), {}, {}, {},
+                      "unsupported-policy"),
+    "non-pristine": (ProcessorConfig(), {}, {"now": 10}, {},
+                     "non-pristine-state"),
+    "unbounded-trace": (ProcessorConfig(), {"max_instructions": None}, {},
+                        {}, "unbounded-trace"),
+    "empty-trace": (ProcessorConfig(), {"max_instructions": 0}, {}, {},
+                    "empty-trace"),
+    "native-invariant": (virtual_physical_config(nrr=8), {}, {},
+                         {"_param_block": _unsizable_param_block},
+                         "native-invariant"),
+}
+
+
 @needs_toolchain
-@pytest.mark.parametrize("index", range(8))
-@pytest.mark.parametrize("workload", ("li", "swim"))
-def test_native_sampled_config_bit_identical(index, workload):
-    choice = SAMPLED[index]
-    outcome = enginediff.compare_point(choice, workload, engine="native")
-    assert outcome["ok"], (
-        f"native diverges at {enginediff.describe(choice, workload)} "
-        f"(engine_used={outcome['engine_used']}): {outcome['mismatches']}")
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_each_fallback_lands_on_interp_counted_once(case, monkeypatch):
+    """native -> interp is one step: whatever makes a native request
+    miss, the run lands on the interpreter with exactly one counted
+    fallback, one recorded reason, and the interpreter's stats."""
+    config, overrides, state, patch, reason = FALLBACKS[case]
+    for name, value in patch.items():
+        monkeypatch.setattr(native, name, value)
+
+    def run(engine):
+        processor = Processor(config, engine=engine)
+        vars(processor).update(state)
+        result = processor.run(_trace(n=1_700), **{
+            "max_instructions": 1_500, "skip": 200, **overrides})
+        return processor, result.stats.to_dict()
+
+    _, expected = run("interp")
+    native.clear_cache()
+    processor, stats = run("native")
+    assert processor.engine_used == "interp"
+    assert native.cache_info()["build_failures"] == {reason: 1}
+    assert stats == dict(expected, engine_fallbacks=1)
+    native.clear_cache()
 
 
 @needs_toolchain
@@ -338,6 +376,20 @@ def test_native_key_ignores_sizing_but_not_flags():
     assert len(set(keys)) == len(keys)
     assert native.native_key(Processor(SIZING_A, idle_skip=False)) \
         != _key(SIZING_A)
+
+
+def test_param_block_reads_sizing_from_the_config():
+    """The C loop sizes every structure from the config at run time."""
+    processor = Processor(SIZING_B)
+    block = dict(zip(native._PARAM_NAMES, native._param_block(
+        processor, native.native_features(processor)[0])))
+    assert [block[name] for name in (
+        "FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE", "IQ_SIZE",
+        "FB_SIZE", "NPR_INT", "NPR_FP", "NRR_INT", "CACHE_PORTS", "MSHR_N",
+        "NUM_LINES", "FU_N_0", "FU_N_5")] == [
+        4, 4, 4, 4, 48, 24, 6, 96, 80, 24, 1, 2, 64, 1, 1]
+    assert (block["HORIZON"], block["COMMIT_DELAY"]) == (
+        SIZING_B.deadlock_horizon, 1 + processor._commit_extra)
 
 
 def test_figure4_and_5_grids_need_three_artifacts():

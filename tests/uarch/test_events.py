@@ -1,8 +1,8 @@
 """EventWheel edge cases: ring wraparound, overflow promotion, and the
 bulk idle-skip interactions the calendar-queue layout must survive.
 
-The wheel backs both engine tiers (the interpreter holds one; the
-compiled loop inlines the same layout), so these pins are about the
+The wheel holds the interpreter's completion events (the native C loop
+keeps an equivalent time-ordered heap), so these pins are about the
 data structure's corners rather than pipeline behaviour: a cycle that
 lands in the overflow map and is then popped after a multi-revolution
 idle skip, same-cycle scheduling after the drain, and slot collisions

@@ -52,8 +52,9 @@ def test_registry_built_policies_match_golden_stats(key):
                            skip=entry["skip"])
     # engine_fallbacks records which cycle-engine tier served the run
     # (under REPRO_ENGINE=native a policy the native tier cannot lower
-    # legitimately falls back to the compiled tier), not what it
-    # computed; tier residency is pinned by the per-tier golden suites.
+    # legitimately falls back to the interpreter), not what it
+    # computed; tier residency is pinned by
+    # test_processor_golden_optimized.py.
     timing = lambda d: {k: v for k, v in d.items()
                         if k != "engine_fallbacks"}
     assert timing(result.stats.to_dict()) == timing(entry["stats"])

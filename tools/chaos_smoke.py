@@ -3,7 +3,7 @@
 
 Run with ``PYTHONPATH=src``; everything (workers, gateway, reference
 run) is started by this script against a throwaway cache directory, so
-it needs no prior setup.  Five phases, all asserted bit-identical to
+it needs no prior setup.  Four phases, all asserted bit-identical to
 a serial in-process reference run of the same grid:
 
 1. **Reference** — serial execution of the acceptance grid, on the
@@ -15,18 +15,17 @@ a serial in-process reference run of the same grid:
    circuit breaker, and — once both workers are gone — degrades onto
    the local fallback executor.  The merged results must equal the
    reference exactly.
-3. **Compiled-engine chaos** — the same worker/coordinator fault plans
-   replayed with every spec pinned to the *compiled* cycle engine
-   (``engine="compiled"`` rides the spec wire format to the workers).
-   Transport-level chaos on top of the codegen tier must still merge
-   bit-identical to the serial *interpreted* reference — and the stats
-   dumps carry ``engine_fallbacks``, so a silent fallback to the
-   interpreter on a worker would itself show up as a mismatch.
-4. **Native-engine chaos** — the same again with every spec pinned to
-   the C-compiled *native* tier (each fresh worker process compiles or
-   loads the cached shared objects before the plan kills it); skipped
-   with a loud log line on hosts without a C toolchain.
-5. **Gateway kill + resume** — a journaled ``repro serve`` is
+3. **Native-engine chaos** — the same worker/coordinator fault plans
+   replayed with every spec pinned to the C-compiled *native* cycle
+   engine (the engine pin rides the spec wire format to the workers;
+   each fresh worker process compiles or loads the cached shared
+   objects before the plan kills it).  Transport-level chaos on top of
+   the native tier must still merge bit-identical to the serial
+   *interpreted* reference — and the stats dumps carry
+   ``engine_fallbacks``, so a silent fallback to the interpreter on a
+   worker would itself show up as a mismatch.  Skipped with a loud log
+   line on hosts without a C toolchain.
+4. **Gateway kill + resume** — a journaled ``repro serve`` is
    SIGKILLed mid-job after streaming at least one point, restarted on
    the same port with ``--resume``, and must deliver every remaining
    point exactly once (the client reconnects with its event cursor),
@@ -66,8 +65,8 @@ WORKER_PLAN = "seed=17;worker.crash_before_reply:n=1;worker.exit:n=1,after=2"
 def build_grid(instructions, skip, seeds, engine=None):
     """Conventional vs vp-issue on two workloads, ``seeds`` points each.
 
-    ``engine`` pins every spec's cycle-engine tier (``"compiled"`` for
-    the codegen-chaos phase); ``None`` keeps the config default
+    ``engine`` pins every spec's cycle-engine tier (``"native"`` for
+    the native-chaos phase); ``None`` keeps the config default
     (``"auto"``, which resolves to the interpreter here).
     """
     configs = [
@@ -126,7 +125,7 @@ def spawn(cmd, env, log, name):
 def comparable(result):
     """``to_dict`` with the config's engine pin stripped — the one
     field :meth:`ProcessorConfig.key` also excludes, so an interpreted
-    reference and a compiled-tier run compare on substance (timing,
+    reference and a native-tier run compare on substance (timing,
     stats, workload) rather than on which tier was requested."""
     d = result.to_dict()
     if isinstance(d.get("config"), dict):
@@ -180,13 +179,13 @@ def phase_remote_chaos(specs, reference, cache_dir, ports, log,
             proc.wait(timeout=10)
 
 
-def assert_tier_engages(config, tier, log, what):
-    """Prove ``config`` actually selects the ``tier`` engine in-process.
+def assert_native_engages(config, log):
+    """Prove ``config`` actually selects the native engine in-process.
 
-    Bit-identity alone cannot distinguish "the faster tier ran and
-    matched" from "the engine pin never made it through the wire and
-    the interpreter ran twice" — so probe one tiny run locally and
-    check the engine the processor reports it used.
+    Bit-identity alone cannot distinguish "native ran and matched" from
+    "the engine pin never made it through the wire and the interpreter
+    ran twice" — so probe one tiny run locally and check the engine the
+    processor reports it used.
     """
     from repro.trace.generator import SyntheticTrace
     from repro.trace.workloads import load_workload
@@ -195,10 +194,10 @@ def assert_tier_engages(config, tier, log, what):
     processor = Processor(config)
     processor.run(SyntheticTrace(load_workload("go"), seed=0),
                   max_instructions=200)
-    assert processor.engine_used == tier, (
-        f"engine pin did not engage the {tier} tier: "
+    assert processor.engine_used == "native", (
+        "engine pin did not engage the native tier: "
         f"used {processor.engine_used!r}")
-    log.write(f"{what}: probe confirms the {tier} tier engages "
+    log.write("native chaos: probe confirms the native tier engages "
               "for the pinned configs")
 
 
@@ -287,24 +286,14 @@ def main(argv=None):
         phase_remote_chaos(specs, reference, tmp / "remote-cache",
                            [args.base_port, args.base_port + 1], log)
 
-        # Same transport chaos, compiled cycle engine underneath: the
-        # seeded fault plans replay exactly (fresh worker processes,
-        # fresh plan counters) and the merged results must still equal
-        # the *interpreted* serial reference bit for bit.
-        compiled_specs = build_grid(args.instructions, args.skip, seeds=2,
-                                    engine="compiled")
-        assert_tier_engages(compiled_specs[0].config, "compiled", log,
-                            "compiled chaos")
-        phase_remote_chaos(compiled_specs, reference,
-                           tmp / "compiled-cache",
-                           [args.base_port + 3, args.base_port + 4], log,
-                           what="compiled-engine chaos")
-
-        # Once more on the C-compiled native tier — each fresh worker
-        # process compiles (or loads from its artifact cache) the
-        # specialized shared objects before the chaos plan kills it.
-        # Skipped, loudly, on hosts without a C toolchain: the tier
-        # would otherwise fall back and silently re-test compiled.
+        # Same transport chaos, C-compiled native cycle engine
+        # underneath: the seeded fault plans replay exactly (fresh
+        # worker processes, fresh plan counters; each compiles or loads
+        # the specialized shared objects before the plan kills it) and
+        # the merged results must still equal the *interpreted* serial
+        # reference bit for bit.  Skipped, loudly, on hosts without a C
+        # toolchain: the tier would otherwise fall back and silently
+        # re-test the interpreter.
         from repro.uarch import native
 
         if native.toolchain() is None:
@@ -313,8 +302,7 @@ def main(argv=None):
         else:
             native_specs = build_grid(args.instructions, args.skip,
                                       seeds=2, engine="native")
-            assert_tier_engages(native_specs[0].config, "native", log,
-                                "native chaos")
+            assert_native_engages(native_specs[0].config, log)
             phase_remote_chaos(native_specs, reference,
                                tmp / "native-cache",
                                [args.base_port + 5, args.base_port + 6],

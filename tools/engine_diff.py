@@ -4,9 +4,10 @@
 Samples the processor configuration space (policies × register files ×
 window shapes × FU mixes × predictor/idle/retry toggles — see
 :mod:`repro.uarch.enginediff`), runs every sampled config on every
-workload under the interpreter and the candidate engine tier(s)
-(``--engine compiled|native|all``), and fails if any point is not
-**bit-identical** or silently fell back to a lower tier.
+workload under the interpreter and the native tier, and fails if any
+point is not **bit-identical** or silently fell back to the
+interpreter.  The native tier needs a C toolchain (see
+``tools/native_probe.py``); without one the tool exits 1.
 
 Failing points are shrunk to a 1-minimal reproducer (every axis reset
 to its default that still fails) and written to the ``--report`` JSON —
@@ -28,6 +29,7 @@ import sys
 import time
 
 from repro.uarch.enginediff import DIFF_WORKLOADS, run_sample
+from repro.uarch.native import toolchain
 
 
 def main(argv=None):
@@ -41,12 +43,6 @@ def main(argv=None):
                         help="comma-separated workloads per config")
     parser.add_argument("--report", default="engine_diff.json",
                         help="JSON report path (the CI artifact)")
-    parser.add_argument("--engine", default="compiled",
-                        choices=("compiled", "native", "all"),
-                        help="candidate tier(s) to diff against the "
-                             "interpreter (default %(default)s; 'native' "
-                             "requires a C toolchain, see "
-                             "tools/native_probe.py)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report raw failing points without "
                              "minimizing them first")
@@ -56,39 +52,24 @@ def main(argv=None):
 
     workloads = tuple(w.strip() for w in args.workloads.split(",")
                       if w.strip())
-    engines = (("compiled", "native") if args.engine == "all"
-               else (args.engine,))
-    if "native" in engines:
-        from repro.uarch.native import toolchain
+    if toolchain() is None:
+        print("engine-diff: no C toolchain found — the native tier "
+              "cannot be diffed on this host (set REPRO_CC or install "
+              "cc/gcc/clang)", file=sys.stderr)
+        return 1
 
-        if toolchain() is None:
-            print("engine-diff: no C toolchain found — the native tier "
-                  "cannot be diffed on this host (set REPRO_CC or install "
-                  "cc/gcc/clang)", file=sys.stderr)
-            return 1
-    total = args.configs * len(workloads) * len(engines)
+    def progress(done, total):
+        if not args.quiet:
+            print(f"\r  {done}/{total} points checked", end="",
+                  file=sys.stderr, flush=True)
+
     started = time.perf_counter()
-    report = {"engines": {}, "seed": args.seed, "points": 0,
-              "failures": [], "ok": True}
-    done_so_far = 0
-    for engine in engines:
-
-        def progress(done, _total, base=done_so_far):
-            if not args.quiet:
-                print(f"\r  {base + done}/{total} points checked", end="",
-                      file=sys.stderr, flush=True)
-
-        sub = run_sample(args.configs, seed=args.seed, workloads=workloads,
-                         shrink_failures=not args.no_shrink,
-                         progress=progress, engine=engine)
-        done_so_far += sub["points"]
-        report["engines"][engine] = sub
-        report["points"] += sub["points"]
-        for failure in sub["failures"]:
-            report["failures"].append(dict(failure, engine=engine))
-        report["ok"] = report["ok"] and sub["ok"]
+    report = run_sample(args.configs, seed=args.seed, workloads=workloads,
+                        shrink_failures=not args.no_shrink,
+                        progress=progress)
     if not args.quiet:
         print(file=sys.stderr)
+    report["seed"] = args.seed
     report["seconds"] = round(time.perf_counter() - started, 2)
     pathlib.Path(args.report).write_text(
         json.dumps(report, indent=1, sort_keys=True) + "\n",
@@ -97,17 +78,17 @@ def main(argv=None):
     if report["ok"]:
         print(f"engine-diff: {report['points']} point(s) "
               f"({args.configs} config(s) x {len(workloads)} "
-              f"workload(s) x {'+'.join(engines)}) bit-identical "
-              f"across engine tiers in {report['seconds']}s")
+              f"workload(s)) bit-identical between interp and native "
+              f"in {report['seconds']}s")
         return 0
     print(f"engine-diff: {len(report['failures'])} of {report['points']} "
           f"point(s) DIVERGED (shrunk reproducers in {args.report}):",
           file=sys.stderr)
     for failure in report["failures"]:
-        print(f"  [{failure['engine']}] {failure['point']}: "
+        print(f"  {failure['point']}: "
               f"engine_used={failure['engine_used']} "
               f"mismatched={sorted(failure['mismatches'])}",
-          file=sys.stderr)
+              file=sys.stderr)
     return 1
 
 

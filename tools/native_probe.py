@@ -10,7 +10,7 @@ Checks everything ``engine=native`` needs before a run can use it:
 Prints a human-readable report (``--json`` for machines) and exits 0.
 With ``--require-native`` — the CI ``engine-matrix`` native leg — a
 host where the tier is unavailable exits 1 instead of letting the run
-silently measure the compiled tier.
+silently measure the interpreter.
 
 Run with ``PYTHONPATH=src``::
 

@@ -10,8 +10,7 @@ scratch ``REPRO_CACHE_DIR``).  Asserts, over real HTTP:
    the per-tenant series for this run's client id, and
    ``/v1/metrics.json`` still serves the JSON document.
 2. **Health** — ``GET /v1/healthz`` reports the engine-tier
-   availability map (interp/compiled/native + what ``auto`` resolves
-   to).
+   availability map (interp/native + what ``auto`` resolves to).
 3. **Trace round-trip** — the submit response carries a trace id, and
    after the job completes the telemetry directory holds spans for
    that one id covering the ``queue``, ``dispatch``, ``run``, and
@@ -103,11 +102,10 @@ def check_healthz(url):
     health = json.loads(body)
     engines = health.get("engines")
     assert engines, f"healthz has no engines report: {health}"
-    for tier in ("interp", "compiled", "native"):
+    for tier in ("interp", "native"):
         assert "available" in engines.get(tier, {}), (
             f"healthz engines report missing {tier}: {engines}")
-    assert engines.get("resolved_auto") in ("interp", "compiled",
-                                            "native"), engines
+    assert engines.get("resolved_auto") in ("interp", "native"), engines
     print(f"healthz: engine tiers reported, auto -> "
           f"{engines['resolved_auto']}")
 

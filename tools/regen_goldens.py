@@ -13,9 +13,9 @@ repo's timing contract.  Two situations touch them:
 ``--check`` recomputes every dump and fails (exit 1) on any drift
 without writing — the CI guard that the committed goldens match the
 engine that ships with them.  Regeneration always runs the
-*interpreted* engine, the conservative reference tier; the compiled
+*interpreted* engine, the conservative reference tier; the native
 tier is held to these same dumps by the differential suite and the
-compiled golden pins.
+two-tier golden pins (``tests/uarch/test_processor_golden_optimized.py``).
 
 Usage:
     python tools/regen_goldens.py          # rewrite drifted files
