@@ -7,9 +7,9 @@ instructions after 3k warm-up per run), prints it, and appends it to
 
 Runs are shared through :data:`repro.experiments.SHARED_CACHE`, which
 sits on the batch engine: Figure 6 reuses the Figure 4/5 runs within a
-session, and the persistent store under ``REPRO_CACHE_DIR`` (default
-``~/.cache/repro``) makes re-running the harness near-instant as long
-as the simulator source is unchanged.
+session.  Under pytest ``REPRO_CACHE_DIR`` is a per-session temporary
+directory (the repository's root ``conftest.py``), so every session
+simulates afresh and never touches ``~/.cache/repro``.
 """
 
 from __future__ import annotations

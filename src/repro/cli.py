@@ -110,6 +110,7 @@ from repro.uarch.config import (
     ENGINES,
     conventional_config,
     policy_config,
+    resolve_engine,
     virtual_physical_config,
 )
 
@@ -186,6 +187,7 @@ def _add_engine_tier_arg(parser, all_tiers=False):
 def _add_engine_args(parser):
     from repro.engine import EXECUTOR_KINDS
 
+    parser.set_defaults(simulates=True)
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or "
                              "the CPU count)")
@@ -1142,7 +1144,7 @@ def build_parser():
                             "instead of gating")
     bench.add_argument("--quiet", action="store_true",
                        help="suppress the per-point progress line")
-    bench.set_defaults(fn=cmd_bench)
+    bench.set_defaults(fn=cmd_bench, simulates=True)
 
     engines = sub.add_parser(
         "engines",
@@ -1246,7 +1248,7 @@ def build_parser():
                              "--jobs > 1)")
     worker.add_argument("--no-cache", action="store_true",
                         help="skip the persistent result store")
-    worker.set_defaults(fn=cmd_worker)
+    worker.set_defaults(fn=cmd_worker, simulates=True)
 
     cluster = sub.add_parser(
         "cluster", help="inspect or stop a set of remote workers")
@@ -1327,6 +1329,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    requested = getattr(args, "engine", None)
+    if getattr(args, "simulates", False) and requested != "all":
+        # Resolved once, up front: --engine is checked by its choices,
+        # but REPRO_ENGINE is not, and a result-store hit would hide a
+        # bad value from the runs themselves.
+        try:
+            resolve_engine(requested)
+        except ValueError as exc:
+            parser.exit(2, f"repro: REPRO_ENGINE: {exc}\n")
     plan = getattr(args, "faults", None)
     if plan:
         import os

@@ -24,17 +24,27 @@ object for every dynamic instance; only loads and stores, whose
 effective address varies, construct a fresh (validation-free) record
 per instance.  The RNG consumption order is identical to the original
 statement-by-statement interpretation, so streams are bit-identical.
+
+**Materialization.**  Registry traces are generated once per
+``(workload, seed)`` per process: the interpreter reads record lists
+(:func:`materialized_trace`), the native tier reads flat typed columns
+(:func:`trace_columns`, :class:`TraceColumns`) that its C loop takes
+by pointer, so a sweep builds no record list on that tier.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import threading
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
+from operator import attrgetter
 from random import Random
 
 from repro.isa.instruction import TraceRecord
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OP_DECODE, OpClass
 from repro.isa.registers import NO_REG
 from repro.trace.program import (
     INDUCTION,
@@ -121,14 +131,34 @@ class _KernelProgram:
         raise TypeError(f"unknown statement: {stmt!r}")
 
 
-# Materialized-trace cache: (workload name, seed) -> [records, stream].
 # Trace streams are deterministic per (workload, seed), so repeated
-# simulations of the same point — benchmark repeats, engine A/B
-# comparisons, config sweeps over one workload — can share one
-# materialization instead of re-running the generator.  Bounded LRU;
-# entries grow on demand when a later caller needs a longer prefix.
+# simulations of one point — benchmark repeats, engine A/B comparisons,
+# config sweeps over one workload — share one materialization instead of
+# re-running the generator.  Two process-level caches hold them, keyed
+# by (workload name, seed); each entry keeps its generator and extends
+# in place when a later caller needs a longer prefix:
+#
+# * the record LRU (interpreter): [records, stream], 4 entries;
+# * the column LRU (native tier): (TraceColumns, stream), bounded by
+#   COLUMN_CACHE_BYTES of columns, so the nine paper workloads stay
+#   resident through a Figure 4+5 sweep.
 _MATERIALIZED: OrderedDict = OrderedDict()
 _MATERIALIZED_MAX = 4
+
+_COLUMN_CACHE: OrderedDict = OrderedDict()
+#: Byte budget of the column LRU; the newest entry always stays.
+COLUMN_CACHE_BYTES = 32 << 20
+_COLUMN_CHUNK = 1 << 15  # records generated per column append
+_COLUMN_LOCK = threading.Lock()
+
+#: The native tier's trace layout: ``(record field, array typecode)`` in
+#: ``repro_run`` argument order — int64 pc and addr, int16 registers,
+#: int8 op and taken.
+COLUMNS = (("pc", "q"), ("op", "b"), ("dest", "h"), ("src1", "h"),
+           ("src2", "h"), ("addr", "q"), ("taken", "b"))
+RECORD_BYTES = sum(array(code).itemsize for _, code in COLUMNS)
+
+_IS_STORE = bytes(int(decode[2]) for decode in OP_DECODE)
 
 
 def materialized_trace(workload, seed, count):
@@ -156,9 +186,124 @@ def materialized_trace(workload, seed, count):
     return records[:count] if len(records) > count else records
 
 
+def trace_columns(workload, seed, count):
+    """``SyntheticTrace(workload, seed)`` as :class:`TraceColumns` of at
+    least ``count`` records (a longer prefix when one is held).
+
+    The native tier's counterpart of :func:`materialized_trace`, with
+    the same registry-workload contract, served from the column LRU.
+    Raises ``OverflowError`` (and drops the entry) when a value does not
+    fit its column.
+    """
+    key = (workload.name, seed)
+    with _COLUMN_LOCK:
+        entry = _COLUMN_CACHE.get(key)
+        if entry is None:
+            entry = (TraceColumns(workload, seed),
+                     iter(SyntheticTrace(workload, seed)))
+            _COLUMN_CACHE[key] = entry
+        else:
+            _COLUMN_CACHE.move_to_end(key)
+        columns, stream = entry
+        try:
+            while len(columns) < count:
+                columns._append(list(itertools.islice(
+                    stream, min(count - len(columns), _COLUMN_CHUNK))))
+        except OverflowError:
+            del _COLUMN_CACHE[key]  # its stream ran past its columns
+            raise
+        held = sum(cols.nbytes for cols, _ in _COLUMN_CACHE.values())
+        while held > COLUMN_CACHE_BYTES and len(_COLUMN_CACHE) > 1:
+            oldest, _ = _COLUMN_CACHE.popitem(last=False)[1]
+            held -= oldest.nbytes
+    return columns
+
+
 def clear_materialized_traces():
-    """Drop the materialized-trace cache (tests, memory pressure)."""
+    """Drop both trace caches (tests, memory pressure)."""
     _MATERIALIZED.clear()
+    with _COLUMN_LOCK:
+        _COLUMN_CACHE.clear()
+
+
+class TraceColumns:
+    """A trace prefix as flat typed columns, the native tier's input.
+
+    One ``array`` per field of :data:`COLUMNS`; index ``i`` of every
+    column is record ``i``.  ``bad_stores`` lists every index whose
+    record is a store missing a source, which the C loop cannot model
+    (the interpreter crashes on it), so any run window can be checked
+    exactly (:meth:`has_bad_store`).
+
+    A ``TraceColumns`` is also a trace: iterating it yields genuine
+    :class:`TraceRecord` objects — the source list of :meth:`of`, or
+    the registry trace of ``(workload, seed)`` from
+    :func:`materialized_trace` — which is what an interpreted fallback
+    runs.
+    """
+
+    __slots__ = (*(name for name, _ in COLUMNS), "bad_stores", "workload",
+                 "seed", "_records")
+
+    def __init__(self, workload=None, seed=None, records=None):
+        for name, code in COLUMNS:
+            setattr(self, name, array(code))
+        self.bad_stores = []
+        self.workload = workload
+        self.seed = seed
+        self._records = records
+
+    @classmethod
+    def of(cls, records):
+        """Uncached columns of a record list (``OverflowError`` when a
+        value does not fit its column)."""
+        columns = cls(records=records)
+        columns._append(records)
+        return columns
+
+    def __len__(self):
+        return len(self.op)
+
+    def __iter__(self):
+        return iter(self.records(len(self)))
+
+    @property
+    def nbytes(self):
+        return len(self) * RECORD_BYTES
+
+    def arrays(self):
+        """The columns in :data:`COLUMNS` order."""
+        return tuple(getattr(self, name) for name, _ in COLUMNS)
+
+    def records(self, count):
+        """The first ``count`` records as :class:`TraceRecord` objects."""
+        if self._records is not None:
+            return self._records[:count]
+        return materialized_trace(self.workload, self.seed, count)
+
+    def has_bad_store(self, start, stop):
+        """Is any record in ``[start, stop)`` a store missing a source?"""
+        bad = self.bad_stores
+        i = bisect_left(bad, start)
+        return i < len(bad) and bad[i] < stop
+
+    def _append(self, records):
+        """Append a list of records.  Every column is converted before
+        any is extended, so an ``OverflowError`` appends nothing."""
+        start = len(self)
+        tails = [array(code, map(attrgetter(name), records))
+                 for name, code in COLUMNS]
+        for (name, _), tail in zip(COLUMNS, tails):
+            column = getattr(self, name)
+            try:
+                column.extend(tail)
+            except BufferError:  # a native run holds its buffer: copy
+                setattr(self, name, column + tail)
+        _, op, _, src1, src2, _, _ = tails
+        self.bad_stores.extend(
+            start + i for i in itertools.compress(
+                range(len(op)), map(_IS_STORE.__getitem__, op))
+            if src1[i] < 0 or src2[i] < 0)
 
 
 class SyntheticTrace:

@@ -121,16 +121,18 @@ def run_point(choice, workload, engine, instructions=DIFF_INSTRUCTIONS,
 
     Returns ``(stats_dict, engine_used)``.  A
     :class:`SimulationDeadlock` is folded into the result (both engines
-    must deadlock identically), any other exception propagates.
+    must deadlock identically), any other exception propagates.  Each
+    tier reads the trace the way ``simulate()`` hands it over: native
+    the cached columns, interp the cached record list.
     """
-    from repro.trace.generator import materialized_trace
+    from repro.trace.generator import materialized_trace, trace_columns
 
-    records = materialized_trace(load_workload(workload), seed,
-                                 skip + instructions)
+    materialize = trace_columns if engine == "native" else materialized_trace
+    trace = materialize(load_workload(workload), seed, skip + instructions)
     processor = Processor(build_config(choice),
                           idle_skip=choice["idle_skip"], engine=engine)
     try:
-        result = processor.run(iter(records), max_instructions=instructions,
+        result = processor.run(trace, max_instructions=instructions,
                                skip=skip)
         stats = result.stats.to_dict()
     except SimulationDeadlock as exc:

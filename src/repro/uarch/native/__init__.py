@@ -12,10 +12,13 @@ per-class NLR/NPR/NVR/NRR, widths, ROB/IQ/fetch-buffer sizes, ports,
 cache geometry, FU counts, the BHT mask, the deadlock horizon — travels
 to ``repro_run`` at run time in one ``int64`` parameter block
 (:data:`_PARAM_NAMES`), from which the C side allocates its tables.
-The trace is marshalled once into flat ``array``-module buffers, the
-whole run executes in native code, and a flat counter block is mapped
-back onto ``SimStats`` — the contract is **bit-identical** statistics
-with the interpreter, enforced by the differential stack
+The loop reads the trace as typed columns
+(:class:`~repro.trace.generator.TraceColumns`, cached once per registry
+``(workload, seed)``) in place, through pointers offset past the warm-up
+prefix, so no record list is built or copied per run; the whole run
+executes in native code, and a flat counter block is mapped back onto
+``SimStats`` — the contract is **bit-identical** statistics with the
+interpreter, enforced by the differential stack
 (``tools/engine_diff.py``, golden replays, the chaos differential).
 
 Shared objects are cached under ``REPRO_CACHE_DIR/native/`` keyed by
@@ -32,8 +35,9 @@ the same artifact.
 
 Everything degrades loudly but gracefully: no toolchain, a failed
 compile, an unspecializable processor, or a trace shape the C loop does
-not model falls back to the interpreter, with the reason recorded in
-:data:`build_failures` and the fallback counted in
+not model (a store missing a source in the run window, a value too wide
+for its column) falls back to the interpreter, with the reason recorded
+in :data:`build_failures` and the fallback counted in
 ``SimStats.engine_fallbacks``.
 
 Known limitation: after a native run the renamer's *map-table and
@@ -65,7 +69,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX host
     fcntl = None
 
-#: build/marshal failures by reason (diagnostics; reset per process).
+#: native-run failures by reason (diagnostics; reset per process).
 build_failures: dict[str, int] = {}
 
 #: in-process cache of loaded shared objects, keyed by artifact name.
@@ -486,37 +490,11 @@ def build_library(processor):
     return lib, None
 
 
-# -- marshalling + execution -------------------------------------------------
+# -- execution ---------------------------------------------------------------
 
 
-def _marshal(records):
-    """Flat per-field buffers for the C loop, or ``(None, reason)``."""
-    n = len(records)
-    pc = array("q", bytes(8 * n))
-    op = array("i", bytes(4 * n))
-    dest = array("i", bytes(4 * n))
-    src1 = array("i", bytes(4 * n))
-    src2 = array("i", bytes(4 * n))
-    addr = array("q", bytes(8 * n))
-    taken = array("b", bytes(n))
-    for i, rec in enumerate(records):
-        o = int(rec.op)
-        op[i] = o
-        pc[i] = rec.pc
-        dest[i] = rec.dest
-        src1[i] = rec.src1
-        src2[i] = rec.src2
-        addr[i] = rec.addr
-        taken[i] = 1 if rec.taken else 0
-        if OP_DECODE[o][2] and (rec.src1 < 0 or rec.src2 < 0):
-            # A store's value tag is src_tags[1]; the Python tiers
-            # crash on a store missing a source, the C loop cannot.
-            return None, "store-missing-src"
-    return (pc, op, dest, src1, src2, addr, taken), None
-
-
-def _ptr(arr):
-    return ctypes.c_void_p(arr.buffer_info()[0])
+def _ptr(arr, offset=0):
+    return ctypes.c_void_p(arr.buffer_info()[0] + offset * arr.itemsize)
 
 
 def _sync(processor, c, tags_arr, bht_arr):
@@ -598,16 +576,19 @@ def _sync(processor, c, tags_arr, bht_arr):
         p.regfile.bank_conflicts = c[K["rf_bank_conflicts"]]
 
 
-def execute(processor, records):
-    """Run ``records`` through the native loop on ``processor``.
+def execute(processor, columns, skip, n):
+    """Run records ``[skip, skip + n)`` of ``columns`` (a
+    :class:`~repro.trace.generator.TraceColumns`) through the native
+    loop on ``processor``, whose warm-up the caller has done.
 
-    Returns ``True`` when the native tier ran and the processor's state
-    was synced (the caller finishes with ``_harvest_stats`` exactly as
-    after an interpreted run), ``False`` on any fallback (reason recorded
-    in :data:`build_failures`), and raises ``SimulationDeadlock`` — with
-    the interpreter's message prefix — when the simulation deadlocks.
+    The C loop reads the shared columns in place, through pointers
+    offset by ``skip``.  Returns ``True`` when the native tier ran and
+    the processor's state was synced (the caller finishes with
+    ``_harvest_stats`` exactly as after an interpreted run), ``False``
+    on any fallback (reason recorded in :data:`build_failures`), and
+    raises ``SimulationDeadlock`` — with the interpreter's message
+    prefix — when the simulation deadlocks.
     """
-    n = len(records)
     if n == 0:
         _note_failure("empty-trace")
         return False
@@ -623,17 +604,26 @@ def execute(processor, records):
     lib, reason = build_library(processor)
     if lib is None:
         return False
-    buffers, reason = _marshal(records)
-    if buffers is None:
-        _note_failure(reason)
+    if columns.has_bad_store(skip, skip + n):
+        # A store's value tag is src_tags[1]; the interpreter crashes on
+        # a store missing a source, the C loop cannot.
+        _note_failure("store-missing-src")
         return False
     params = _param_block(processor, native_features(processor)[0])
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
-    rc = lib.repro_run(ctypes.c_int64(n), _ptr(params),
-                       *map(_ptr, buffers),
-                       _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
+    trace = columns.arrays()
+    # Exported buffers cannot be resized, so the pointers stay valid
+    # while the C loop reads them (a concurrent extension copies).
+    pins = [memoryview(column) for column in trace]
+    try:
+        rc = lib.repro_run(ctypes.c_int64(n), _ptr(params),
+                           *(_ptr(column, skip) for column in trace),
+                           _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
+    finally:
+        for pin in pins:
+            pin.release()
     if rc in (0, 1):
         _sync(processor, counters, tags_arr, bht_arr)
         if rc == 1:

@@ -23,6 +23,11 @@
  *   int64_t repro_run(n, params, rec_pc, rec_op, rec_dest, rec_src1,
  *                     rec_src2, rec_addr, rec_taken, cache_tags_io,
  *                     bht_io, counters)
+ * The rec_* pointers are the trace's typed columns (int64 pc and addr,
+ * int16 registers, int8 op and taken; repro.trace.generator.COLUMNS),
+ * read in place: each points at the first record of the run window, so
+ * seq s is column entry skip + s and the loop never sees the warm-up
+ * prefix.
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated or a parameter
@@ -79,7 +84,8 @@ static int g_rc;
 
 static int64_t g_n;
 static const int64_t *r_pc;
-static const int32_t *r_op, *r_dest, *r_src1, *r_src2;
+static const int8_t *r_op;
+static const int16_t *r_dest, *r_src1, *r_src2;
 static const int64_t *r_addr;
 static const int8_t *r_taken;
 
@@ -974,9 +980,9 @@ static int setup(int64_t n, const int64_t *prm)
 /* ---- the run loop --------------------------------------------------- */
 
 int64_t repro_run(int64_t n, const int64_t *params,
-                  const int64_t *rec_pc, const int32_t *rec_op,
-                  const int32_t *rec_dest, const int32_t *rec_src1,
-                  const int32_t *rec_src2, const int64_t *rec_addr,
+                  const int64_t *rec_pc, const int8_t *rec_op,
+                  const int16_t *rec_dest, const int16_t *rec_src1,
+                  const int16_t *rec_src2, const int64_t *rec_addr,
                   const int8_t *rec_taken,
                   int64_t *cache_tags_io, int8_t *bht_io,
                   int64_t *counters)
@@ -1475,7 +1481,8 @@ int64_t repro_run(int64_t n, const int64_t *params,
                 budget--;
                 if (OP_STORE[op]) {
                     /* wait_tags = src_tags[:1]; value tag = src_tags[1]
-                     * (the marshalling layer guarantees both sources) */
+                     * (execute() refuses a window holding a store that
+                     * misses a source) */
                     sq_insert(s);
                     if (g_rc)
                         goto bail;

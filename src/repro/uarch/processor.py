@@ -56,6 +56,7 @@ same cycle it would without the skip.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections import defaultdict, deque
 from heapq import heapify, heappush, heappop
@@ -66,6 +67,7 @@ from repro.core.tags import TAG_CLASS_SHIFT
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import RegClass
 from repro.memory.memory_system import MemorySystem
+from repro.trace.generator import TraceColumns
 from repro.uarch.config import ProcessorConfig, resolve_engine
 from repro.uarch.dynamic import DynInstr
 from repro.uarch.events import EventWheel
@@ -176,7 +178,9 @@ class Processor:
 
         The skipped prefix warms the cache and the branch predictor
         functionally (no timing), mirroring the paper's fast-forward of
-        the first 100M instructions.
+        the first 100M instructions.  ``trace`` is any iterable of
+        records; :class:`~repro.trace.generator.TraceColumns` also
+        serve the native tier as they are.
         """
         if getattr(self, "_ran", False):
             raise RuntimeError(
@@ -184,38 +188,37 @@ class Processor:
                 "(its caches, predictor, and rename state are warm)"
             )
         self._ran = True
-        stream = iter(trace)
-        if skip:
-            self._warm_up(stream, skip)
-        if max_instructions is not None:
-            stream = itertools.islice(stream, max_instructions)
-        self._trace = stream
         self._exhausted = False
-        engine = resolve_engine(self._engine)
         self.engine_used = "interp"
-        # The native tier runs the whole trace in C.  It needs the
-        # record list up front (one marshalling pass); on any build or
-        # marshalling failure it falls back to the interpreter below,
-        # counting the fallback.  Per-instance _step instrumentation
-        # (tests and tracers monkeypatch it) forces the interpreter
-        # silently: a replaced _step would never be called by the C
-        # loop, so the request is reinterpreted, not failed.
-        if engine == "native" and "_step" not in self.__dict__:
+        stream = None
+        # The native tier runs the whole window in C (_run_native); on
+        # any failure it hands the interpreter below the rest of the
+        # trace, counting the fallback.  Per-instance _step
+        # instrumentation (tests and tracers monkeypatch it) forces the
+        # interpreter silently: a replaced _step would never be called
+        # by the C loop, so the request is reinterpreted, not failed.
+        if (resolve_engine(self._engine) == "native"
+                and "_step" not in self.__dict__):
             from repro.uarch import native as _native
 
             if max_instructions is None:
                 # An unbounded stream cannot be safely materialized.
                 _native._note_failure("unbounded-trace")
             else:
-                records = list(stream)
-                self._trace = iter(records)
-                self.engine_used = "native"
-                if _native.execute(self, records):
+                stream = self._run_native(_native, trace, max_instructions,
+                                          skip)
+                if stream is None:
                     self.stats.cycles = self.now
                     self._harvest_stats()
                     return SimResult(stats=self.stats, config=self.config)
-                self.engine_used = "interp"
             self.stats.engine_fallbacks += 1
+        if stream is None:
+            stream = iter(trace)
+            if skip:
+                self._warm_up(stream, skip)
+            if max_instructions is not None:
+                stream = itertools.islice(stream, max_instructions)
+        self._trace = stream
         step = self._step  # honors per-instance test instrumentation
         horizon = self.config.deadlock_horizon
         while not (self._exhausted and not self.fetch_buffer
@@ -231,6 +234,31 @@ class Processor:
         self._harvest_stats()
         return SimResult(stats=self.stats, config=self.config)
 
+    def _run_native(self, native, trace, max_instructions, skip):
+        """Run records ``[skip, skip + max_instructions)`` on the native
+        tier, reading ``trace`` as columns (any other trace is converted
+        into uncached ones).  Returns ``None`` when the run finished
+        natively, else the record stream the interpreter goes on with,
+        warm-up done."""
+        columns = trace
+        if not isinstance(trace, TraceColumns):
+            records = list(itertools.islice(iter(trace),
+                                            skip + max_instructions))
+            try:
+                columns = TraceColumns.of(records)
+            except OverflowError:
+                native._note_failure("column-overflow")
+                stream = iter(records)
+                self._warm_up(stream, skip)
+                return stream
+        self._warm_columns(columns, skip)
+        n = max(0, min(max_instructions, len(columns) - skip))
+        self.engine_used = "native"
+        if native.execute(self, columns, skip, n):
+            return None
+        self.engine_used = "interp"
+        return itertools.islice(columns.records(skip + n), skip, None)
+
     # -- warm-up ------------------------------------------------------------
 
     def _warm_up(self, stream, skip):
@@ -242,6 +270,21 @@ class Processor:
                 warm(rec.addr)
             if rec.op is branch:
                 bht_update(rec.pc, rec.taken)
+
+    def _warm_columns(self, columns, skip):
+        """:meth:`_warm_up` over the first ``skip`` entries of columns
+        (the cache and the predictor are independent, so each is warmed
+        in its own pass)."""
+        warm = self.mem.cache.warm_address
+        for addr in filter(None, itertools.islice(columns.addr, skip)):
+            warm(addr)
+        bht_update = self.bht.update
+        branch = OpClass.BRANCH
+        for pc, op, taken in zip(columns.pc, itertools.islice(columns.op,
+                                                              skip),
+                                 columns.taken):
+            if op == branch:
+                bht_update(pc, taken)
 
     # -- the per-cycle hot loop ----------------------------------------------
 
@@ -847,12 +890,14 @@ def simulate(config=None, trace=None, workload=None,
     benchmark name from :data:`repro.trace.WORKLOADS` or a
     :class:`~repro.trace.Workload` instance).
     """
-    from repro.trace.generator import SyntheticTrace
+    from repro.trace.generator import (SyntheticTrace, materialized_trace,
+                                       trace_columns)
     from repro.trace.program import Workload
     from repro.trace.workloads import load_workload
 
     if (trace is None) == (workload is None):
         raise ValueError("provide exactly one of trace= or workload=")
+    config = config or ProcessorConfig()
     name = ""
     if workload is not None:
         if isinstance(workload, str):
@@ -861,11 +906,18 @@ def simulate(config=None, trace=None, workload=None,
             if max_instructions is not None:
                 # Registry workloads are uniquely named, so repeated
                 # runs of the same (workload, seed) point share one
-                # materialized record list (see trace.generator).
-                from repro.trace.generator import materialized_trace
-
-                trace = materialized_trace(
-                    workload, seed, skip + max_instructions)
+                # materialization (see trace.generator): typed columns
+                # for the native tier, a record list for the
+                # interpreter.  On a column overflow the native tier
+                # gets the records, and Processor.run counts the
+                # fallback.
+                count = skip + max_instructions
+                trace = None
+                if resolve_engine(config.engine) == "native":
+                    with contextlib.suppress(OverflowError):
+                        trace = trace_columns(workload, seed, count)
+                if trace is None:
+                    trace = materialized_trace(workload, seed, count)
             else:
                 trace = SyntheticTrace(workload, seed)
         elif isinstance(workload, Workload):
@@ -873,7 +925,7 @@ def simulate(config=None, trace=None, workload=None,
             trace = SyntheticTrace(workload, seed)
         else:
             raise TypeError("workload must be a name or a Workload")
-    processor = Processor(config or ProcessorConfig())
+    processor = Processor(config)
     result = processor.run(trace, max_instructions=max_instructions, skip=skip)
     result.workload = name
     result.seed = seed

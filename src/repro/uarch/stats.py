@@ -48,8 +48,8 @@ class SimStats:
     fp_reg_occupancy_sum: int = 0
     peak_rob: int = 0
     # Engine-tier provenance: 1 when a run requested the native engine
-    # but fell back to the interpreter (no toolchain, a build or
-    # marshalling failure, a configuration the C loop does not lower).
+    # but fell back to the interpreter (no toolchain, a build failure,
+    # a configuration or trace shape the C loop does not lower).
     # Always 0 on the interpreted tier, so a silent fallback can never
     # masquerade as a native run in a differential comparison.
     engine_fallbacks: int = 0

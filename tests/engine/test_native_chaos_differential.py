@@ -14,6 +14,7 @@ Everything here is in-process and quick; the cross-process version
 
 import pytest
 
+from repro.core.virtual_physical import AllocationStage
 from repro.engine import ResultStore, RunSpec, SerialExecutor, execute_spec
 from repro.engine.faults import ENV_VAR, FaultPlan, clear, install
 from repro.trace.generator import materialized_trace
@@ -44,7 +45,8 @@ def _no_leaked_plan(monkeypatch):
 
 def _grid(engine):
     configs = [("conventional", conventional_config()),
-               ("vp-issue", virtual_physical_config(nrr=8))]
+               ("vp-issue", virtual_physical_config(
+                   nrr=8, allocation=AllocationStage.ISSUE))]
     return [
         RunSpec(workload, config.with_(engine=engine), label=label)
         .resolved(INSTRUCTIONS, SKIP, seed=7)

@@ -91,6 +91,29 @@ class TestCommands:
         assert report["interp"] == {"available": True}
         assert report["resolved_auto"] == auto
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "go", "-n", "300", "--skip", "50"],
+        ["sweep", "--nrr", "8", "--workloads", "go", "-n", "300",
+         "--skip", "50", "--jobs", "1"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("store", ["empty", "warm"])
+    def test_bad_repro_engine_exits_2_whatever_the_store_holds(
+            self, capsys, monkeypatch, tmp_path, argv, store):
+        """A ``REPRO_ENGINE`` naming no tier stops a simulating command
+        with one line and rc 2, also when the store would serve every
+        point without running one."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        if store == "warm":
+            assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"repro: REPRO_ENGINE: {BAD_ENGINE}\n")
+
     def test_engines_without_toolchain_falls_back_to_interp(
             self, capsys, monkeypatch):
         monkeypatch.setattr(native, "_toolchain", None)

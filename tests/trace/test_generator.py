@@ -4,8 +4,18 @@ import itertools
 
 import pytest
 
+from repro.isa.instruction import TraceRecord
 from repro.isa.opcodes import OpClass, is_branch, is_mem
-from repro.trace.generator import SyntheticTrace, take
+from repro.trace import generator
+from repro.trace.generator import (
+    COLUMNS,
+    RECORD_BYTES,
+    SyntheticTrace,
+    TraceColumns,
+    clear_materialized_traces,
+    take,
+    trace_columns,
+)
 from repro.trace.patterns import ArrayWalk
 from repro.trace.program import (
     CondBranch,
@@ -15,6 +25,7 @@ from repro.trace.program import (
     Store,
     Workload,
 )
+from repro.trace.workloads import load_workload
 
 
 def simple_workload(iterations=3, p_taken=0.0, skip=0):
@@ -129,3 +140,118 @@ class TestMultiKernel:
         wl = Workload("two", [k1, k2], category="int")
         trace = SyntheticTrace(wl, seed=5)
         assert trace._bases[1] - trace._bases[0] >= 0x1000
+
+
+class TestTraceColumns:
+    """The native tier's trace: typed columns, cached per (workload,
+    seed) in an LRU bounded by bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_caches(self):
+        clear_materialized_traces()
+        yield
+        clear_materialized_traces()
+
+    @staticmethod
+    def _keys():
+        return list(generator._COLUMN_CACHE)
+
+    def test_columns_hold_the_records(self):
+        wl = load_workload("swim")
+        cols = trace_columns(wl, 3, 2_000)
+        recs = SyntheticTrace(wl, 3).take(2_000)
+        assert RECORD_BYTES == 24
+        assert (len(cols), cols.nbytes) == (2_000, 48_000)
+        for name, _ in COLUMNS:
+            assert list(getattr(cols, name)) == [
+                int(getattr(rec, name)) for rec in recs]
+        # Iterating yields genuine records (what a fallback runs).
+        assert [repr(rec) for rec in cols] == [repr(rec) for rec in recs]
+
+    def test_prefix_extends_in_place_without_regenerating(self,
+                                                          monkeypatch):
+        visits = []
+        run_kernel = SyntheticTrace._run_kernel
+
+        def counting(self, *args):
+            visits.append(1)
+            return run_kernel(self, *args)
+
+        monkeypatch.setattr(SyntheticTrace, "_run_kernel", counting)
+        wl = load_workload("go")
+        cols = trace_columns(wl, 1, 500)
+        built = len(visits)
+        assert built and len(cols) == 500
+        assert trace_columns(wl, 1, 300) is cols  # a held prefix
+        assert len(visits) == built
+        assert trace_columns(wl, 1, 5_000) is cols
+        assert len(cols) == 5_000 and len(visits) > built
+        extended = len(visits)
+        assert trace_columns(wl, 1, 5_000) is cols
+        assert len(visits) == extended
+        assert list(cols.addr) == [
+            rec.addr for rec in SyntheticTrace(wl, 1).take(5_000)]
+
+    def test_lru_is_bounded_by_bytes_and_keeps_the_newest(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(generator, "COLUMN_CACHE_BYTES",
+                            3 * 1_000 * RECORD_BYTES)
+        wl = {name: load_workload(name)
+              for name in ("go", "li", "swim", "compress")}
+        for name in ("go", "li", "swim"):
+            trace_columns(wl[name], 1, 1_000)
+        assert self._keys() == [("go", 1), ("li", 1), ("swim", 1)]
+        trace_columns(wl["go"], 1, 1_000)  # a hit makes go the newest
+        trace_columns(wl["compress"], 1, 1_000)
+        assert self._keys() == [("swim", 1), ("go", 1), ("compress", 1)]
+        # An entry alone over the budget still stays: it is the newest.
+        trace_columns(wl["li"], 1, 4_000)
+        assert self._keys() == [("li", 1)]
+
+    def test_overflow_appends_nothing(self):
+        wl = simple_workload()
+        recs = SyntheticTrace(wl, 1).take(50)
+        huge = TraceRecord.trusted(recs[0].pc, OpClass.LOAD_INT,
+                                   dest=recs[0].dest, src1=recs[0].src1,
+                                   addr=1 << 63)  # past int64
+        with pytest.raises(OverflowError):
+            TraceColumns.of(recs + [huge])
+        cols = TraceColumns.of(recs)
+        with pytest.raises(OverflowError):
+            cols._append([huge])
+        assert [len(column) for column in cols.arrays()] == [50] * 7
+
+    def test_overflow_drops_the_cache_entry(self):
+        kernel = LoopKernel(
+            name="k", body=[Load("v", "a"), IntOp("x", ("v",))],
+            iterations=2,
+            arrays={"a": ArrayWalk(base=1 << 63, length=4, elem_bytes=8)})
+        wl = Workload("huge", [kernel], category="int")
+        with pytest.raises(OverflowError):
+            trace_columns(wl, 1, 100)
+        assert self._keys() == []
+
+    def test_every_bad_store_is_recorded(self):
+        recs = SyntheticTrace(simple_workload(), 1).take(40)
+        stores = [i for i, rec in enumerate(recs)
+                  if rec.op is OpClass.STORE_INT]
+        assert len(stores) >= 3
+        first, second = stores[0], stores[2]
+        for i in (first, second):
+            rec = recs[i]
+            recs[i] = TraceRecord.trusted(rec.pc, rec.op, src1=rec.src1,
+                                          addr=rec.addr)
+        cols = TraceColumns.of(recs)
+        assert cols.bad_stores == [first, second]
+        assert cols.has_bad_store(0, first + 1)
+        assert not cols.has_bad_store(first + 1, second)
+        assert cols.has_bad_store(first + 1, second + 1)
+        assert not cols.has_bad_store(second + 1, len(recs))
+
+    def test_a_pinned_column_grows_a_copy(self):
+        cols = TraceColumns.of(SyntheticTrace(simple_workload(), 1).take(10))
+        old = cols.pc
+        with memoryview(old):
+            cols._append(SyntheticTrace(simple_workload(), 2).take(5))
+        assert len(old) == 10 and len(cols.pc) == 15
+        assert list(cols.pc[:10]) == list(old)

@@ -10,8 +10,8 @@ the interpreter's.  This suite checks the contract three ways:
   combinations),
 * a randomized property run whose failures are *shrunk* to a minimal
   failing configuration before being reported,
-* direct unit coverage of engine selection, fallback accounting, and
-  the artifact cache.
+* direct unit coverage of engine selection, fallback accounting, the
+  trace columns the native tier reads, and the artifact cache.
 """
 
 import importlib.util
@@ -22,6 +22,8 @@ import pytest
 
 from repro.core.virtual_physical import AllocationStage
 from repro.experiments.figures import NRR_SWEEP
+from repro.isa.instruction import TraceRecord
+from repro.isa.opcodes import OpClass
 from repro.memory.cache import CacheConfig
 from repro.obs.metrics import get_registry
 from repro.uarch import enginediff, native
@@ -32,7 +34,8 @@ from repro.uarch.config import (
     resolve_engine,
     virtual_physical_config,
 )
-from repro.uarch.processor import Processor
+from repro.uarch.processor import Processor, simulate
+from repro.trace import generator
 from repro.trace.generator import materialized_trace
 from repro.trace.workloads import load_workload
 
@@ -325,6 +328,116 @@ def test_each_fallback_lands_on_interp_counted_once(case, monkeypatch):
     assert native.cache_info()["build_failures"] == {reason: 1}
     assert stats == dict(expected, engine_fallbacks=1)
     native.clear_cache()
+
+
+def _without_store_source(records, indices):
+    """``records`` with the stores at ``indices`` missing their value
+    source (a shape the C loop cannot model)."""
+    records = list(records)
+    for i in indices:
+        rec = records[i]
+        assert rec.op in (OpClass.STORE_INT, OpClass.STORE_FP)
+        records[i] = TraceRecord.trusted(rec.pc, rec.op, src1=rec.src1,
+                                         addr=rec.addr)
+    return records
+
+
+@needs_toolchain
+@pytest.mark.parametrize("where", ["window", "prefix", "both"])
+def test_store_missing_src_is_checked_per_run_window(where):
+    """Only a bad store inside ``[skip, skip + n)`` sends the run to the
+    interpreter (one counted fallback), which then crashes on it exactly
+    as an interpreted run does; one in the warm-up prefix alone runs
+    natively, and does not hide one in the window either."""
+    skip, n = 300, 1_200
+    records = materialized_trace(load_workload("swim"), 1234, skip + n)
+    stores = [i for i, rec in enumerate(records)
+              if rec.op in (OpClass.STORE_INT, OpClass.STORE_FP)]
+    before = [i for i in stores if i < skip][-1]
+    inside = [i for i in stores if i >= skip][0]
+    bad = {"window": [inside], "prefix": [before],
+           "both": [before, inside]}[where]
+    trace = _without_store_source(records, bad)
+
+    def run(engine):
+        processor = Processor(ProcessorConfig(), engine=engine)
+        try:
+            processor.run(iter(trace), max_instructions=n, skip=skip)
+        except IndexError:  # the interpreter's crash on such a store
+            return processor, processor.stats.to_dict(), True
+        return processor, processor.stats.to_dict(), False
+
+    _, expected, crashed = run("interp")
+    native.clear_cache()
+    processor, stats, native_crashed = run("native")
+    falls_back = where != "prefix"
+    assert crashed == native_crashed == falls_back
+    assert processor.engine_used == ("interp" if falls_back else "native")
+    assert native.cache_info()["build_failures"] == (
+        {"store-missing-src": 1} if falls_back else {})
+    assert stats == dict(expected, engine_fallbacks=int(falls_back))
+    native.clear_cache()
+
+
+def test_column_overflow_falls_back_to_interp():
+    """A value too wide for its column is a counted fallback, never a
+    truncation: the interpreter runs the genuine records."""
+    records = list(materialized_trace(load_workload("li"), 1234, 1_200))
+    i = next(i for i, rec in enumerate(records[300:], 300)
+             if rec.op is OpClass.LOAD_INT)
+    rec = records[i]
+    records[i] = TraceRecord.trusted(rec.pc, rec.op, dest=rec.dest,
+                                     src1=rec.src1, addr=1 << 63)
+
+    def run(engine):
+        processor = Processor(ProcessorConfig(), engine=engine)
+        result = processor.run(iter(records), max_instructions=900,
+                               skip=300)
+        return processor, result.stats.to_dict()
+
+    _, expected = run("interp")
+    native.clear_cache()
+    processor, stats = run("native")
+    assert processor.engine_used == "interp"
+    assert native.cache_info()["build_failures"] == {"column-overflow": 1}
+    assert stats == dict(expected, engine_fallbacks=1)
+    native.clear_cache()
+
+
+@pytest.mark.parametrize("config", [
+    policy_config("early-release"), virtual_physical_config(nrr=8)],
+    ids=["unsupported-policy", "injected-rc2"])
+def test_cached_columns_fall_back_with_genuine_records(config,
+                                                       monkeypatch):
+    """``simulate()`` hands the native tier cached columns; when the run
+    falls back, the interpreter runs the registry records of the same
+    (workload, seed) and lands on the interpreter's statistics."""
+    monkeypatch.setattr(native, "_param_block", _unsizable_param_block)
+    generator.clear_materialized_traces()
+    expected = simulate(config.with_(engine="interp"), workload="li",
+                        max_instructions=1_500, skip=200, seed=5)
+    generator.clear_materialized_traces()
+    result = simulate(config.with_(engine="native"), workload="li",
+                      max_instructions=1_500, skip=200, seed=5)
+    assert list(generator._COLUMN_CACHE) == [("li", 5)]
+    assert result.stats.engine_fallbacks == 1
+    assert result.stats.to_dict() == dict(expected.stats.to_dict(),
+                                          engine_fallbacks=1)
+    generator.clear_materialized_traces()
+    native.clear_cache()
+
+
+@needs_toolchain
+def test_native_simulate_builds_no_record_list():
+    """On the native tier a registry point reads the column cache only:
+    the interpreter's record LRU stays empty."""
+    generator.clear_materialized_traces()
+    result = simulate(virtual_physical_config(nrr=8, engine="native"),
+                      workload="swim", max_instructions=2_000, skip=300)
+    assert result.stats.engine_fallbacks == 0
+    assert list(generator._MATERIALIZED) == []
+    assert list(generator._COLUMN_CACHE) == [("swim", 1234)]
+    generator.clear_materialized_traces()
 
 
 @needs_toolchain
