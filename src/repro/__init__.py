@@ -65,7 +65,6 @@ from repro.engine import (
     WorkerServer,
 )
 from repro.isa import OpClass, RegClass, TraceRecord
-from repro.service import Gateway, GatewayClient
 from repro.memory import CacheConfig
 from repro.trace import (
     FP_BENCHMARKS,
@@ -90,6 +89,21 @@ from repro.uarch import (
 )
 
 __version__ = "1.8.0"
+
+#: Exports loaded on first use (PEP 562): the service layer pulls in
+#: asyncio and http.client, which simulation processes, pool workers and
+#: worker daemons never need.
+_LAZY = {"Gateway": "repro.service", "GatewayClient": "repro.service"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AllocationStage",

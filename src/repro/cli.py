@@ -177,7 +177,7 @@ def _add_engine_tier_arg(parser, all_tiers=False):
     parser.add_argument(
         "--engine", choices=choices, default=None,
         help="cycle-engine tier: 'interp' is the reference interpreter, "
-             "'native' runs a C-compiled per-config loop (bit-identical "
+             "'native' runs the C-compiled loop (bit-identical "
              "to interp, faster; needs a C toolchain — see `repro "
              "engines`), 'auto' (default) defers to REPRO_ENGINE"
              + ("; 'all' measures an interp/native A/B" if all_tiers

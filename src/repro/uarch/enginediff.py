@@ -7,7 +7,7 @@ that checks the promise over the configuration space rather than at
 hand-picked points:
 
 * a deterministic **config-space sampler** over the axes that select
-  different specializations — renaming policy, register-file port
+  different paths through the loop — renaming policy, register-file port
   model, idle skip, functional-unit mix, window geometry, physical
   register / NRR sizing;
 * a **point comparator** running one (config, workload) point under
@@ -144,7 +144,7 @@ def expected_tier(choice):
     """The tier a point is *expected* to run on when native is
     requested.
 
-    The native tier only lowers fully-inlined specializations; the
+    The native tier only lowers policies whose hooks it inlines; the
     early-release policy keeps its rename hooks out-of-line, so a
     native request lands on the interpreter by the documented
     fallback — expected, not a failure.

@@ -2,16 +2,19 @@
 
 The interpreter (:meth:`repro.uarch.processor.Processor._step`) pays
 CPython bytecode dispatch on every simulated cycle.  This package
-lowers a per-``ProcessorConfig`` specialization of the same loop to
-C99: a header holding only the ``F_*`` feature flags (plus the opcode
-decode tables and the counter and parameter slot numbers) is prepended
-to ``engine_template.c`` (one translation unit), compiled once with the
-system toolchain (``cc -O2 -shared -fPIC``; ``REPRO_CC`` overrides the
-probe order), and loaded through :mod:`ctypes`.  Every sizing value —
-per-class NLR/NPR/NVR/NRR, widths, ROB/IQ/fetch-buffer sizes, ports,
-cache geometry, FU counts, the BHT mask, the deadlock horizon — travels
-to ``repro_run`` at run time in one ``int64`` parameter block
-(:data:`_PARAM_NAMES`), from which the C side allocates its tables.
+lowers the same loop to C99: a header holding only fixed constants (the
+tag encoding, the opcode decode tables and the counter and parameter
+slot numbers) is prepended to ``engine_template.c`` (one translation
+unit), compiled once with the system toolchain (``cc -O2 -shared
+-fPIC``; ``REPRO_CC`` overrides the probe order), and loaded through
+:mod:`ctypes`.  Everything a ``ProcessorConfig`` decides travels to
+``repro_run`` at run time in one ``int64`` parameter block
+(:data:`_PARAM_NAMES`): the ``F_*`` feature flags
+(:func:`native_features`; each is an ordinary C branch on a value fixed
+for the run) and every sizing value — per-class NLR/NPR/NVR/NRR,
+widths, ROB/IQ/fetch-buffer sizes, ports, cache geometry, FU counts,
+the BHT mask, the deadlock horizon — from which the C side allocates
+its tables.
 The loop reads the trace as typed columns
 (:class:`~repro.trace.generator.TraceColumns`, cached once per registry
 ``(workload, seed)``) in place, through pointers offset past the warm-up
@@ -21,22 +24,21 @@ executes in native code, and a flat counter block is mapped back onto
 interpreter, enforced by the differential stack
 (``tools/engine_diff.py``, golden replays, the chaos differential).
 
-Shared objects are cached under ``REPRO_CACHE_DIR/native/`` keyed by
+The shared object is cached under ``REPRO_CACHE_DIR/native/`` keyed by
 ``sha256(header + template)`` (:func:`native_key`).  The header depends
-on the flag vector alone, so there is one artifact per flag vector, not
-per sizing point: the Figure 4 and 5 grids (13 configurations) need 3
-artifacts, and every ``repro.experiments`` grid together (37 natively
-lowerable configurations) needs 8.  Sweeps and pool workers compile each
-at most once per machine; the file name also embeds a template
-fingerprint so stale artifacts from an older code version are
-recognizable (``repro cache stats`` flags them, ``repro cache compact``
-prunes them).  A cross-process ``flock`` serializes concurrent builds of
-the same artifact.
+on no configuration, so there is one artifact per template: every
+natively lowerable configuration (the Figure 4 and 5 grids, every
+``repro.experiments`` grid) shares it, and a machine compiles it once
+per code version.  The file name also embeds a template fingerprint so
+stale artifacts from an older code version are recognizable (``repro
+cache stats`` flags them, ``repro cache compact`` prunes them).  A
+cross-process ``flock`` serializes concurrent builds of the artifact.
 
-Everything degrades loudly but gracefully: no toolchain, a failed
-compile, an unspecializable processor, or a trace shape the C loop does
-not model (a store missing a source in the run window, a value too wide
-for its column) falls back to the interpreter, with the reason recorded
+Everything degrades loudly but gracefully: no toolchain (when the
+artifact is not on disk yet), a failed compile, a processor the C loop
+cannot lower, or a trace shape it does not model (a store missing a
+source in the run window, a value too wide for its column) falls back
+to the interpreter, with the reason recorded
 in :data:`build_failures` and the fallback counted in
 ``SimStats.engine_fallbacks``.
 
@@ -115,20 +117,29 @@ _COUNTER_NAMES = (
 _K = {name: i for i, name in enumerate(_COUNTER_NAMES)}
 N_COUNTERS = len(_COUNTER_NAMES)
 
-#: The sizing parameter block ``repro_run`` reads at entry, in slot
-#: order.  Like the counter block, this tuple generates the ``P_*``
-#: slot defines of the rendered header; :func:`_param_block` fills it.
-#: The C side indexes the per-class pairs (``P_NLR_INT + cls``) and the
-#: FU counts (``P_FU_N_0 + kind``) by offset, so each group stays
-#: contiguous and in this order.
-_PARAM_NAMES = (
+#: The feature flags :func:`native_features` derives, each 0 or 1: the
+#: port model and its banks, a store-queue bound, the VP allocation
+#: hooks (write-back / issue), writers held in the IQ, retry gating,
+#: the idle-cycle skip, the branch oracle and the VP renamer family.
+_FLAG_NAMES = (
+    "F_RF", "F_RF_BANKS", "F_SQ", "F_COMPLETE", "F_ISSUE", "F_VP_WB",
+    "F_RETRY", "F_IDLE", "F_PERFECT", "F_VP",
+)
+
+#: The parameter block ``repro_run`` reads at entry, in slot order: the
+#: flags, then the sizing.  Like the counter block, this tuple generates
+#: the ``P_*`` slot defines of the rendered header; :func:`_param_block`
+#: fills it.  The C side indexes the per-class pairs (``P_NLR_INT +
+#: cls``) and the FU counts (``P_FU_N_0 + kind``) by offset, so each
+#: group stays contiguous and in this order.
+_PARAM_NAMES = _FLAG_NAMES + (
     "NLR_INT", "NLR_FP", "NPR_INT", "NPR_FP", "NVR_INT", "NVR_FP",
     "NRR_INT", "NRR_FP",
     "FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE", "IQ_SIZE",
     "FB_SIZE", "READ_PORTS", "WRITE_PORTS", "COMMIT_DELAY", "HORIZON",
     "NUM_LINES", "LINE_BYTES", "HIT_LAT", "MISS_PEN", "MSHR_N", "BUS_CPL",
     "CACHE_PORTS", "BHT_MASK", "SQ_CAP",
-    "RF_RP", "RF_WP", "RF_BANKS", "RF_BANK_RP", "RF_BANK_WP",
+    "RF_BANKS", "RF_BANK_RP", "RF_BANK_WP",
     "FU_N_0", "FU_N_1", "FU_N_2", "FU_N_3", "FU_N_4", "FU_N_5",
 )
 N_PARAMS = len(_PARAM_NAMES)
@@ -150,9 +161,11 @@ def _template_text():
     return _template_cache
 
 
+@lru_cache(maxsize=None)
 def template_fingerprint():
     """Short hash of the C template; embedded in artifact file names so
-    artifacts from an older template are recognizable as stale."""
+    artifacts from an older template are recognizable as stale.  Hashed
+    once per process."""
     text = _template_text().encode("utf-8")
     return hashlib.sha256(text).hexdigest()[:8]
 
@@ -218,12 +231,11 @@ def artifact_dir():
 
 
 def native_features(processor):
-    """``(flag vector, None)`` or ``(None, reason)``.
+    """``(flags, None)`` or ``(None, reason)``.
 
-    The flag vector is the ``F_*`` preprocessor flags of the processor,
-    the only part of its configuration an artifact is compiled for: a
-    tuple of ``(name, 0|1)`` pairs in a fixed order, so equal vectors
-    hash alike and share one artifact.
+    ``flags`` maps each name of :data:`_FLAG_NAMES` to 0 or 1: the
+    feature flags :func:`_param_block` writes into the parameter block,
+    which select the C loop's branches for this processor.
 
     The C loop inlines every subsystem, so it refuses a policy
     registered without a :class:`PolicyCapabilities` declaration (or
@@ -265,19 +277,18 @@ def native_features(processor):
             or caps.has_dispatch_hook or caps.holds_writers_in_iq or retry):
         return None, "unsupported-policy"
     rf = bool(cfg.rf_model)
-    return (
-        ("F_RF", int(rf)),
-        ("F_RF_BANKS", int(rf and processor.regfile.banks > 1)),
-        ("F_SQ", int(bool(cfg.store_queue_size))),
-        ("F_COMPLETE", int(caps.has_complete_hook)),
-        ("F_ISSUE", int(caps.has_issue_hook)),
-        ("F_VP_WB", int(caps.holds_writers_in_iq)),
-        ("F_RETRY", int(retry)),
-        ("F_IDLE", int(bool(processor._idle_skip))),
-        ("F_PERFECT", int(bool(cfg.perfect_branch_prediction))),
-        ("F_VP", int(vp)),
-        ("F_CONV", int(conv)),
-    ), None
+    return {
+        "F_RF": int(rf),
+        "F_RF_BANKS": int(rf and processor.regfile.banks > 1),
+        "F_SQ": int(bool(cfg.store_queue_size)),
+        "F_COMPLETE": int(caps.has_complete_hook),
+        "F_ISSUE": int(caps.has_issue_hook),
+        "F_VP_WB": int(caps.holds_writers_in_iq),
+        "F_RETRY": int(retry),
+        "F_IDLE": int(bool(processor._idle_skip)),
+        "F_PERFECT": int(bool(cfg.perfect_branch_prediction)),
+        "F_VP": int(vp),
+    }, None
 
 
 def _pristine(processor):
@@ -300,17 +311,14 @@ def _pristine(processor):
 # -- header rendering --------------------------------------------------------
 
 
-def render_header(fvec):
+def render_header():
     """The header completing ``engine_template.c`` into one
-    self-contained translation unit for the flag vector ``fvec`` (see
-    :func:`native_features`): the ``F_*`` flags, the fixed tag-encoding
-    constants, the opcode decode tables and the counter and parameter
-    slot numbers.  Nothing in it depends on a sizing value."""
+    self-contained translation unit: the fixed tag-encoding constants,
+    the opcode decode tables and the counter and parameter slot numbers.
+    Nothing in it depends on a configuration."""
     lines = ["/* generated by repro.uarch.native - do not edit */"]
     define = lambda name, value: lines.append(f"#define {name} {value}")
 
-    for name, value in fvec:
-        define(name, value)
     define("CLASS_SHIFT", CLASS_SHIFT)
     define("INDEX_MASK", (1 << CLASS_SHIFT) - 1)
     define("FAR_FUTURE", f"INT64_C({_FAR_FUTURE})")
@@ -340,35 +348,41 @@ def render_header(fvec):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)  # bounded: one entry per flag vector
-def _artifact_key(fvec):
-    blob = (render_header(fvec) + _template_text()).encode("utf-8")
+@lru_cache(maxsize=None)
+def _artifact_key():
+    blob = (render_header() + _template_text()).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@lru_cache(maxsize=None)
+def _artifact_name():
+    """The artifact's file name; named once per process."""
+    return f"engine-{template_fingerprint()}-{_artifact_key()}.so"
+
+
 def native_key(processor):
-    """Stable identity of the artifact a processor would compile, or
+    """Stable identity of the artifact a processor would run on, or
     ``None`` when it cannot run natively.  Hashes the *rendered* header
     plus the template text, so any semantic change to either produces a
-    new artifact; the header holds only the flag vector, so processors
-    that differ only in sizing share one key."""
-    fvec, _ = native_features(processor)
-    return None if fvec is None else _artifact_key(fvec)
+    new artifact; the header holds no configuration, so every processor
+    that can run natively shares one key."""
+    flags, _ = native_features(processor)
+    return None if flags is None else _artifact_key()
 
 
-def _param_block(processor, fvec):
-    """The ``int64`` parameter block ``repro_run`` sizes one run from,
-    laid out in :data:`_PARAM_NAMES` order; ``fvec`` is what
+def _param_block(processor, flags):
+    """The ``int64`` parameter block ``repro_run`` configures one run
+    from, laid out in :data:`_PARAM_NAMES` order; ``flags`` is what
     :func:`native_features` returned."""
     cfg = processor.config
     ren = processor.renamer
-    vp = dict(fvec)["F_VP"]
+    vp = flags["F_VP"]
     values = dict(
+        flags,
         FETCH_W=cfg.fetch_width, RENAME_W=cfg.rename_width,
         ISSUE_W=cfg.issue_width, COMMIT_W=cfg.commit_width,
         ROB_SIZE=cfg.rob_size, IQ_SIZE=cfg.iq_size,
-        FB_SIZE=cfg.fetch_buffer_size, READ_PORTS=cfg.read_ports,
-        WRITE_PORTS=cfg.write_ports,
+        FB_SIZE=cfg.fetch_buffer_size,
         COMMIT_DELAY=1 + processor._commit_extra,
         HORIZON=cfg.deadlock_horizon)
     for cls, suffix in ((RegClass.INT, "INT"), (RegClass.FP, "FP")):
@@ -384,14 +398,17 @@ def _param_block(processor, fvec):
         MSHR_N=ccfg.mshr_entries, BUS_CPL=ccfg.bus_cycles_per_line,
         CACHE_PORTS=cfg.cache_ports, BHT_MASK=processor.bht._mask,
         SQ_CAP=cfg.store_queue_size or 0)
+    # The per-class port budgets: the port model's when it is on.
     rf = processor.regfile
     if rf is not None:
         values.update(
-            RF_RP=rf.read_ports, RF_WP=rf.write_ports, RF_BANKS=rf.banks,
-            RF_BANK_RP=rf.bank_read_ports, RF_BANK_WP=rf.bank_write_ports)
+            READ_PORTS=rf.read_ports, WRITE_PORTS=rf.write_ports,
+            RF_BANKS=rf.banks, RF_BANK_RP=rf.bank_read_ports,
+            RF_BANK_WP=rf.bank_write_ports)
     else:
-        values.update(RF_RP=0, RF_WP=0, RF_BANKS=1, RF_BANK_RP=0,
-                      RF_BANK_WP=0)
+        values.update(READ_PORTS=cfg.read_ports,
+                      WRITE_PORTS=cfg.write_ports, RF_BANKS=1,
+                      RF_BANK_RP=0, RF_BANK_WP=0)
     for kind in FUKind:
         values[f"FU_N_{int(kind)}"] = len(processor.fus._busy_until[kind])
     return array("q", (values[name] for name in _PARAM_NAMES))
@@ -429,21 +446,19 @@ def _failed(reason):
 def build_library(processor):
     """``(loaded library, None)`` or ``(None, failure reason)``.
 
-    One artifact serves every processor with the same
-    :func:`native_key` (one flag vector); :func:`execute` passes the
-    sizing at run time.  Cache ladder: in-process loaded library ->
-    on-disk shared object -> compile (under the cross-process build
-    lock, with an atomic rename so readers never see a partial
-    artifact).  Each call counts one ``repro_native_artifacts_total``
+    One artifact serves every processor that :func:`native_features`
+    accepts; :func:`execute` passes the flags and the sizing at run
+    time.  Cache ladder: in-process loaded library -> on-disk shared
+    object -> probe the toolchain and compile (under the cross-process
+    build lock, with an atomic rename so readers never see a partial
+    artifact), so a process that finds the artifact never runs a
+    compiler.  Each call counts one ``repro_native_artifacts_total``
     outcome: ``memory``, ``disk``, ``built`` or ``failed``.
     """
-    fvec, reason = native_features(processor)
-    if fvec is None:
+    flags, reason = native_features(processor)
+    if flags is None:
         return _failed(reason)
-    cc = toolchain()
-    if cc is None:
-        return _failed("no-toolchain")
-    name = f"engine-{template_fingerprint()}-{_artifact_key(fvec)}.so"
+    name = _artifact_name()
     lib = _LIB_CACHE.get(name)
     if lib is not None:
         _ARTIFACTS.inc(outcome="memory")
@@ -452,13 +467,16 @@ def build_library(processor):
     so_path = directory / name
     outcome = "disk"
     if not so_path.exists():
+        cc = toolchain()
+        if cc is None:
+            return _failed("no-toolchain")
         try:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError:
             return _failed("cache-dir-unwritable")
         with _build_lock(directory):
             if not so_path.exists():  # a peer may have built it meanwhile
-                source = render_header(fvec) + _template_text()
+                source = render_header() + _template_text()
                 src_path = directory / f"{name[:-3]}.c"
                 tmp_path = directory / f".{name}.tmp-{os.getpid()}"
                 try:

@@ -1,17 +1,18 @@
-/* The native engine tier: one specialized cycle loop in C99.
+/* The native engine tier: one cycle loop in C99.
  *
  * This file is the second half of a single translation unit: the Python
- * side (repro.uarch.native) renders a header holding only the F_*
- * feature flags of a ProcessorConfig (repro.uarch.native.native_features:
- * policy hooks, port model, store queue, idle skip, branch oracle and the
- * renamer family), the opcode decode tables and the counter and
- * parameter slot numbers, and prepends it to this template before
- * invoking the system C compiler.  Dead feature branches are dropped by
- * the preprocessor (#if F_*); every sizing value (register counts and
- * NRR per class, widths, window sizes, ports, cache geometry, FU counts,
- * ...) arrives at run time in the int64 parameter block, so one artifact
- * serves every sizing point of a flag vector and the whole trace runs in
- * one call.
+ * side (repro.uarch.native) renders a header holding only fixed
+ * constants (the tag encoding, the opcode decode tables and the counter
+ * and parameter slot numbers), and prepends it to this template before
+ * invoking the system C compiler.  Nothing in the header depends on a
+ * ProcessorConfig: the F_* feature flags (policy hooks, port banks,
+ * store-queue bound, idle skip, branch oracle and the renamer family;
+ * repro.uarch.native.native_features) and every sizing value (register
+ * counts and NRR per class, widths, window sizes, ports, cache geometry,
+ * FU counts, ...) arrive at run time in the int64 parameter block.  A
+ * flag is an ordinary branch on a value fixed for the whole run, so it
+ * predicts perfectly; one artifact per template serves every config,
+ * and the whole trace runs in one call.
  *
  * Stage semantics and ordering mirror the reference interpreter,
  * Processor._step in repro/uarch/processor.py — when editing either,
@@ -31,7 +32,8 @@
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated or a parameter
- * block the loop cannot size (nothing is synced, the caller falls back
+ * block the loop cannot size or run (an inconsistent flag set; nothing
+ * is synced, the caller falls back
  * to the interpreter, which reproduces the same crash); 3 = out of
  * memory (nothing ran, caller falls back).
  */
@@ -50,16 +52,30 @@ static const int8_t OP_FU[N_OPS] = OP_FU_INIT;
 static const int8_t OP_LAT[N_OPS] = OP_LAT_INIT;
 static const uint8_t OP_PIPE[N_OPS] = OP_PIPE_INIT;
 
-/* ---- sizing (load_params fills these on every entry) ----------------
+/* ---- run-time parameters (load_params fills these on every entry) ---
  * Named like the P_* parameter slots they are read from. */
 
+/* Feature flags, each 0 or 1 for the whole run. */
+static int F_RF, F_RF_BANKS, F_SQ, F_COMPLETE, F_ISSUE, F_VP_WB, F_RETRY,
+    F_IDLE, F_PERFECT, F_VP;
+
+/* Sizing.  READ_PORTS/WRITE_PORTS are the per-class port budgets (the
+ * port model's when F_RF is on); SQ_CAP is unbounded without F_SQ. */
 static int64_t FETCH_W, RENAME_W, ISSUE_W, COMMIT_W, ROB_SIZE, IQ_SIZE,
     FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON;
 static int64_t NUM_LINES, LINE_BYTES, HIT_LAT, MISS_PEN, MSHR_N, BUS_CPL,
     CACHE_PORTS, BHT_MASK, SQ_CAP;
-static int64_t RF_RP, RF_WP, RF_BANKS, RF_BANK_RP, RF_BANK_WP;
+static int64_t RF_BANKS, RF_BANK_RP, RF_BANK_WP;
 static int64_t MAX_IDENT, FU_MAX;
 static int64_t FU_N[6];
+
+/* The per-instruction helpers stay inline: with every feature's code in
+ * one translation unit, gcc -O2 would otherwise call them out of line. */
+#if defined(__GNUC__)
+#define HOT static inline __attribute__((always_inline))
+#else
+#define HOT static inline
+#endif
 
 #define TAG_SHIFT 16
 #define TIDX(tag) (((int64_t)(tag) >> TAG_SHIFT) * MAX_IDENT \
@@ -121,16 +137,19 @@ typedef struct {
     int64_t head, count, capacity, ring_cap, allocations, min_free;
 } pool_t;
 static pool_t pool_phys[2];   /* conv: renamer.free; vp: free_phys */
-#if F_VP
+/* Rename maps each logical register to the tag it allocates from
+ * ren_pool: a physical register (conventional: pool_phys) or a
+ * virtual-physical one (F_VP: pool_vp). */
+static int32_t *map_tab[2];
+static pool_t *ren_pool;
+/* F_VP only: VP tables, the general map's physical side and the NRR
+ * reservation queue. */
 static pool_t pool_vp[2];
-static int32_t *pmt[2], *gvp[2], *gp[2];
+static int32_t *pmt[2], *gp[2];
 static uint8_t *gv[2];
 static int64_t res_reg[2], res_used[2];
 static int32_t *pend_q[2];
 static int64_t pend_h[2], pend_t[2];
-#else
-static int32_t *map_tab[2];
-#endif
 /* per-class register counts: logical, physical, virtual, reserved */
 static int64_t pool_nlr[2], pool_npr[2], pool_nvr[2], res_nrr[2];
 
@@ -163,11 +182,9 @@ static int last_refusal; /* 1 disambiguation, 2 port, 3 mshr */
 /* BHT */
 static int8_t *bht;
 
-#if F_RF
-static int64_t rf_reads[2], rf_writes[2];
+/* register-file port model: bank budgets (F_RF_BANKS) and stall counts */
 static int64_t *rf_bank_r, *rf_bank_w; /* [2 * RF_BANKS] */
 static int64_t rf_read_stalls, rf_bank_conflicts;
-#endif
 
 /* renamer diagnostics */
 static int64_t ren_decode_stalls, ren_vp_stalls, ren_squashes,
@@ -264,7 +281,7 @@ static int32_t h32_pop(int32_t *h, int64_t *pn)
     return top;
 }
 
-static int32_t pool_alloc(pool_t *p)
+HOT int32_t pool_alloc(pool_t *p)
 {
     int32_t id;
     if (p->count <= 0) { g_rc = 2; return -1; }
@@ -278,7 +295,7 @@ static int32_t pool_alloc(pool_t *p)
     return id;
 }
 
-static void pool_release(pool_t *p, int32_t id)
+HOT void pool_release(pool_t *p, int32_t id)
 {
     if (id < 0 || id > MAX_IDENT || p->member[id]) { g_rc = 2; return; }
     p->member[id] = 1;
@@ -323,10 +340,7 @@ static int64_t sq_find(int32_t seq)
 
 static void sq_insert(int32_t seq)
 {
-#if F_SQ
-    if (sq_n >= SQ_CAP) { g_rc = 2; return; }
-#endif
-    if (sq_n >= SQ_RING) { g_rc = 2; return; }
+    if (sq_n >= SQ_CAP || sq_n >= SQ_RING) { g_rc = 2; return; }
     if (sq_n && sq_seq[(sq_h + sq_n - 1) % SQ_RING] >= seq) {
         g_rc = 2;
         return;
@@ -573,7 +587,7 @@ static int port_available(int64_t now)
     return ports_used < CACHE_PORTS;
 }
 
-static int64_t try_load(int32_t seq, int64_t addr, int64_t now)
+HOT int64_t try_load(int32_t seq, int64_t addr, int64_t now)
 {
     int outcome = sq_check_load(seq, addr, now);
     int64_t done;
@@ -608,45 +622,25 @@ static int try_store_commit(int64_t addr, int64_t now)
     return 1;
 }
 
-/* ---- register-file port model -------------------------------------- */
-
-#if F_RF
-static void rf_start_read(void)
-{
-    rf_reads[0] = rf_reads[1] = RF_RP;
-#if F_RF_BANKS
-    {
-        int64_t i;
-        for (i = 0; i < 2 * RF_BANKS; i++)
-            rf_bank_r[i] = RF_BANK_RP;
-    }
-#endif
-}
-
-static void rf_start_write(void)
-{
-    rf_writes[0] = rf_writes[1] = RF_WP;
-#if F_RF_BANKS
-    {
-        int64_t i;
-        for (i = 0; i < 2 * RF_BANKS; i++)
-            rf_bank_w[i] = RF_BANK_WP;
-    }
-#endif
-}
+/* ---- register-file port model: banks ------------------------------
+ * The per-class port budgets are loop locals (READ_PORTS/WRITE_PORTS
+ * carry the port model's when F_RF is on); with F_RF_BANKS each bank of
+ * each class also serves at most RF_BANK_RP reads and RF_BANK_WP writes
+ * per cycle. */
 
 #define RF_SLOT(tag) (((int64_t)(tag) >> TAG_SHIFT) * RF_BANKS \
                       + ((tag) & 0xFFFF) % RF_BANKS)
 
-static int rf_can_read(int32_t s)
+static void rf_bank_reset(int64_t *budget, int64_t ports)
 {
-    int64_t ni = d_ni[s], nf = d_nf[s];
-    if (ni > rf_reads[0] || nf > rf_reads[1]) {
-        rf_read_stalls++;
-        return 0;
-    }
-#if F_RF_BANKS
-    if (ni || nf) {
+    int64_t i;
+    for (i = 0; i < 2 * RF_BANKS; i++)
+        budget[i] = ports;
+}
+
+static int rf_bank_can_read(int32_t s)
+{
+    if (d_ni[s] || d_nf[s]) {
         int32_t t1 = d_rt1[s], t2 = d_rt2[s];
         if (t1 >= 0 && t2 >= 0) {
             int64_t s1 = RF_SLOT(t1), s2 = RF_SLOT(t2);
@@ -667,50 +661,31 @@ static int rf_can_read(int32_t s)
             return 0;
         }
     }
-#endif
     return 1;
 }
 
-static void rf_claim_read(int32_t s)
+static void rf_bank_claim_read(int32_t s)
 {
-    rf_reads[0] -= d_ni[s];
-    rf_reads[1] -= d_nf[s];
-#if F_RF_BANKS
     if (d_ni[s] || d_nf[s]) {
         if (d_rt1[s] >= 0)
             rf_bank_r[RF_SLOT(d_rt1[s])]--;
         if (d_rt2[s] >= 0)
             rf_bank_r[RF_SLOT(d_rt2[s])]--;
     }
-#endif
 }
 
-static int rf_can_write(int32_t s, int cls)
+static int rf_bank_can_write(int32_t s)
 {
-    if (rf_writes[cls] == 0)
-        return 0;
-#if F_RF_BANKS
     if (rf_bank_w[RF_SLOT(d_dtag[s])] == 0) {
         rf_bank_conflicts++;
         return 0;
     }
-#endif
     return 1;
 }
 
-static void rf_claim_write(int32_t s, int cls)
-{
-    rf_writes[cls]--;
-#if F_RF_BANKS
-    rf_bank_w[RF_SLOT(d_dtag[s])]--;
-#endif
-}
-#endif /* F_RF */
-
 /* ---- VP allocation (write-back or issue stage) --------------------- */
 
-#if F_VP
-static int vp_try_alloc(int32_t s, int cls)
+HOT int vp_try_alloc(int32_t s, int cls)
 {
     pool_t *fr = &pool_phys[cls];
     int32_t phys, vp;
@@ -726,7 +701,7 @@ static int vp_try_alloc(int32_t s, int cls)
     vp = d_vpr[s];
     pmt[cls][vp] = phys;
     idx = r_dest[s] & INDEX_MASK;
-    if (gvp[cls][idx] == vp) {
+    if (map_tab[cls][idx] == vp) {
         gp[cls][idx] = phys;
         gv[cls][idx] = 1;
     }
@@ -734,7 +709,6 @@ static int vp_try_alloc(int32_t s, int cls)
         res_used[cls]++;
     return 1;
 }
-#endif
 
 /* ---- allocation / teardown ----------------------------------------- */
 
@@ -781,12 +755,36 @@ static void pool_init(pool_t *p, int64_t first, int64_t last_excl)
     }
 }
 
+/* Read flag slot P_<name>: anything but 0 or 1 is a block the loop
+ * cannot run. */
+#define LOAD_FLAG(name) do { \
+        if (prm[P_##name] != 0 && prm[P_##name] != 1) \
+            return 2; \
+        name = (int)prm[P_##name]; \
+    } while (0)
+
 /* Copy the parameter block (slot numbers P_* come from the rendered
- * header) into the sizing statics and derive the table bounds.  Returns
- * 2 for a block no allocation below could size. */
+ * header) into the flag and sizing statics and derive the table bounds.
+ * Returns 2 for a block no allocation below could size, or a flag set
+ * the loop cannot run. */
 static int load_params(const int64_t *prm)
 {
     int64_t cls, k;
+    LOAD_FLAG(F_RF);
+    LOAD_FLAG(F_RF_BANKS);
+    LOAD_FLAG(F_SQ);
+    LOAD_FLAG(F_COMPLETE);
+    LOAD_FLAG(F_ISSUE);
+    LOAD_FLAG(F_VP_WB);
+    LOAD_FLAG(F_RETRY);
+    LOAD_FLAG(F_IDLE);
+    LOAD_FLAG(F_PERFECT);
+    LOAD_FLAG(F_VP);
+    /* Banks belong to the port model; the allocation hooks and the
+     * retry gate read VP tables the conventional renamer has none of. */
+    if ((F_RF_BANKS && !F_RF)
+            || (!F_VP && (F_COMPLETE || F_ISSUE || F_VP_WB || F_RETRY)))
+        return 2;
     FETCH_W = prm[P_FETCH_W];
     RENAME_W = prm[P_RENAME_W];
     ISSUE_W = prm[P_ISSUE_W];
@@ -806,9 +804,7 @@ static int load_params(const int64_t *prm)
     BUS_CPL = prm[P_BUS_CPL];
     CACHE_PORTS = prm[P_CACHE_PORTS];
     BHT_MASK = prm[P_BHT_MASK];
-    SQ_CAP = prm[P_SQ_CAP];
-    RF_RP = prm[P_RF_RP];
-    RF_WP = prm[P_RF_WP];
+    SQ_CAP = F_SQ ? prm[P_SQ_CAP] : INT64_MAX;
     RF_BANKS = prm[P_RF_BANKS];
     RF_BANK_RP = prm[P_RF_BANK_RP];
     RF_BANK_WP = prm[P_RF_BANK_WP];
@@ -835,7 +831,7 @@ static int load_params(const int64_t *prm)
             FU_MAX = FU_N[k];
     }
     if (ROB_SIZE < 0 || FB_SIZE < 0 || NUM_LINES < 1 || LINE_BYTES < 1
-            || MSHR_N < 1 || RF_BANKS < 1)
+            || MSHR_N < 1 || RF_BANKS < 1 || SQ_CAP < 1)
         return 2;
     return 0;
 }
@@ -898,23 +894,20 @@ static int setup(int64_t n, const int64_t *prm)
     mp_fill = (int64_t *)xalloc(MSHR_N * 8);
     mh_fill = (int64_t *)xalloc(MSHR_HEAP * 8);
     mh_line = (int64_t *)xalloc(MSHR_HEAP * 8);
-#if F_RF
-    rf_bank_r = (int64_t *)xalloc(2 * RF_BANKS * 8);
-    rf_bank_w = (int64_t *)xalloc(2 * RF_BANKS * 8);
-#endif
-
-#if F_VP
-    for (cls = 0; cls < 2; cls++) {
-        pmt[cls] = (int32_t *)xalloc(pool_nvr[cls] * 4);
-        gvp[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
-        gp[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
-        gv[cls] = (uint8_t *)xalloc(pool_nlr[cls]);
-        pend_q[cls] = (int32_t *)xalloc((n + 1) * 4);
+    if (F_RF_BANKS) {
+        rf_bank_r = (int64_t *)xalloc(2 * RF_BANKS * 8);
+        rf_bank_w = (int64_t *)xalloc(2 * RF_BANKS * 8);
     }
-#else
-    for (cls = 0; cls < 2; cls++)
+
+    for (cls = 0; cls < 2; cls++) {
         map_tab[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
-#endif
+        if (F_VP) {
+            pmt[cls] = (int32_t *)xalloc(pool_nvr[cls] * 4);
+            gp[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
+            gv[cls] = (uint8_t *)xalloc(pool_nlr[cls]);
+            pend_q[cls] = (int32_t *)xalloc((n + 1) * 4);
+        }
+    }
     if (g_rc)
         return g_rc;
 
@@ -933,24 +926,23 @@ static int setup(int64_t n, const int64_t *prm)
 
     for (cls = 0; cls < 2; cls++) {
         pool_init(&pool_phys[cls], pool_nlr[cls], pool_npr[cls]);
-#if F_VP
-        pool_init(&pool_vp[cls], pool_nlr[cls], pool_nvr[cls]);
-        res_reg[cls] = res_used[cls] = 0;
-        pend_h[cls] = pend_t[cls] = 0;
-        for (i = 0; i < pool_nvr[cls]; i++)
-            pmt[cls][i] = i < pool_nlr[cls] ? (int32_t)i : -1;
-        for (i = 0; i < pool_nlr[cls]; i++) {
-            gvp[cls][i] = (int32_t)i;
-            gp[cls][i] = (int32_t)i;
-            gv[cls][i] = 1;
-        }
-#else
         for (i = 0; i < pool_nlr[cls]; i++)
             map_tab[cls][i] = (int32_t)i;
-#endif
+        res_reg[cls] = res_used[cls] = 0;
+        pend_h[cls] = pend_t[cls] = 0;
+        if (F_VP) {
+            pool_init(&pool_vp[cls], pool_nlr[cls], pool_nvr[cls]);
+            for (i = 0; i < pool_nvr[cls]; i++)
+                pmt[cls][i] = i < pool_nlr[cls] ? (int32_t)i : -1;
+            for (i = 0; i < pool_nlr[cls]; i++) {
+                gp[cls][i] = (int32_t)i;
+                gv[cls][i] = 1;
+            }
+        }
     }
     if (g_rc)
         return g_rc;
+    ren_pool = F_VP ? pool_vp : pool_phys;
 
     for (i = 0; i < 6; i++)
         fu_issues[i] = fu_stalls[i] = 0;
@@ -968,12 +960,7 @@ static int setup(int64_t n, const int64_t *prm)
     port_conflicts = 0;
     last_refusal = 0;
     ren_decode_stalls = ren_vp_stalls = ren_squashes = ren_issue_blocks = 0;
-#if F_RF
     rf_read_stalls = rf_bank_conflicts = 0;
-    rf_reads[0] = rf_reads[1] = rf_writes[0] = rf_writes[1] = 0;
-    for (i = 0; i < 2 * RF_BANKS; i++)
-        rf_bank_r[i] = rf_bank_w[i] = 0;
-#endif
     return 0;
 }
 
@@ -1021,12 +1008,9 @@ int64_t repro_run(int64_t n, const int64_t *params,
         while (ev_n && evt_t[0] <= now)
             ev_list[ev_cnt++] = ev_pop();
         if (ev_cnt) {
-            int64_t k;
-#if F_RF
-            rf_start_write();
-#else
-            int64_t int_wb = WRITE_PORTS, fp_wb = WRITE_PORTS;
-#endif
+            int64_t k, int_wb = WRITE_PORTS, fp_wb = WRITE_PORTS;
+            if (F_RF_BANKS)
+                rf_bank_reset(rf_bank_w, RF_BANK_WP);
             qsort(ev_list, (size_t)ev_cnt, 4, cmp_i32);
             for (k = 0; k < ev_cnt; k++) {
                 int32_t s = ev_list[k];
@@ -1061,17 +1045,13 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     continue;
                 }
                 cls = OP_DEST[op];
-#if F_RF
-                if (cls >= 0 && !rf_can_write(s, cls)) {
-#else
-                if (cls >= 0 && (cls == 0 ? int_wb : fp_wb) == 0) {
-#endif
+                if (cls >= 0 && ((cls == 0 ? int_wb : fp_wb) == 0
+                                 || (F_RF_BANKS && !rf_bank_can_write(s)))) {
                     s_wb_defers++;
                     ev_push(now + 1, s);
                     continue;
                 }
-#if F_COMPLETE
-                if (cls >= 0 && d_dphys[s] < 0) {
+                if (F_COMPLETE && cls >= 0 && d_dphys[s] < 0) {
                     if (!vp_try_alloc(s, cls)) {
                         ren_squashes++;
                         s_squashes++;
@@ -1082,16 +1062,13 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     if (g_rc)
                         goto bail;
                 }
-#endif
                 if (cls >= 0) {
-#if F_RF
-                    rf_claim_write(s, cls);
-#else
                     if (cls == 0)
                         int_wb--;
                     else
                         fp_wb--;
-#endif
+                    if (F_RF_BANKS)
+                        rf_bank_w[RF_SLOT(d_dtag[s])]--;
                 }
                 d_fl[s] |= FL_DONE;
                 d_cat[s] = now;
@@ -1154,8 +1131,7 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     }
                 }
                 cls = OP_DEST[op];
-#if F_VP
-                if (cls >= 0) {
+                if (cls >= 0 && F_VP) {
                     int32_t prev_vp, prev_phys;
                     if (!(d_fl[s] & FL_RES)) {
                         g_rc = 2;
@@ -1179,11 +1155,9 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     pmt[cls][prev_vp] = -1;
                     pool_release(&pool_phys[cls], prev_phys);
                     pool_release(&pool_vp[cls], prev_vp);
-                }
-#else
-                if (cls >= 0)
+                } else if (cls >= 0) {
                     pool_release(&pool_phys[cls], d_prev[s]);
-#endif
+                }
                 if (g_rc)
                     goto bail;
                 rob_h = (rob_h + 1) % (ROB_SIZE + 1);
@@ -1248,11 +1222,9 @@ int64_t repro_run(int64_t n, const int64_t *params,
         if (rh_n) {
             int64_t budget = ISSUE_W, launched = 0, rt_n = 0;
             int fu_blocked = 0;
-#if F_RF
-            rf_start_read();
-#else
             int64_t int_reads = READ_PORTS, fp_reads = READ_PORTS;
-#endif
+            if (F_RF_BANKS)
+                rf_bank_reset(rf_bank_r, RF_BANK_RP);
             while (budget && rh_n) {
                 int32_t s = h32_pop(rh_q, &rh_n);
                 int32_t op = r_op[s];
@@ -1262,8 +1234,7 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     rt_q[rt_n++] = s;
                     continue;
                 }
-#if F_RETRY
-                if (d_xcnt[s] > 0 && d_dphys[s] < 0
+                if (F_RETRY && d_xcnt[s] > 0 && d_dphys[s] < 0
                         && !(d_fl[s] & FL_RES)) {
                     int rcls = OP_DEST[op];
                     if (rcls >= 0
@@ -1273,18 +1244,15 @@ int64_t repro_run(int64_t n, const int64_t *params,
                         continue;
                     }
                 }
-#endif
-#if F_RF
-                if (!rf_can_read(s)) {
-                    rt_q[rt_n++] = s;
-                    continue;
-                }
-#else
                 if (d_ni[s] > int_reads || d_nf[s] > fp_reads) {
+                    rf_read_stalls++;
                     rt_q[rt_n++] = s;
                     continue;
                 }
-#endif
+                if (F_RF_BANKS && !rf_bank_can_read(s)) {
+                    rt_q[rt_n++] = s;
+                    continue;
+                }
                 kind = OP_FU[op];
                 kind_bit = 1 << kind;
                 if (fu_blocked & kind_bit) {
@@ -1306,31 +1274,24 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     rt_q[rt_n++] = s;
                     continue;
                 }
-#if F_ISSUE
-                {
-                    int icls = OP_DEST[op];
-                    if (icls >= 0 && d_dphys[s] < 0) {
-                        if (!vp_try_alloc(s, icls)) {
-                            ren_issue_blocks++;
-                            s_issue_alloc++;
-                            rt_q[rt_n++] = s;
-                            continue;
-                        }
-                        if (g_rc)
-                            goto bail;
+                if (F_ISSUE && OP_DEST[op] >= 0 && d_dphys[s] < 0) {
+                    if (!vp_try_alloc(s, OP_DEST[op])) {
+                        ren_issue_blocks++;
+                        s_issue_alloc++;
+                        rt_q[rt_n++] = s;
+                        continue;
                     }
+                    if (g_rc)
+                        goto bail;
                 }
-#endif
                 fu_issued[kind * FU_MAX + unit] = now;
                 if (!OP_PIPE[op])
                     fu_busy[kind * FU_MAX + unit] = now + OP_LAT[op];
                 fu_issues[kind]++;
-#if F_RF
-                rf_claim_read(s);
-#else
                 int_reads -= d_ni[s];
                 fp_reads -= d_nf[s];
-#endif
+                if (F_RF_BANKS)
+                    rf_bank_claim_read(s);
                 budget--;
                 d_xcnt[s]++;
                 launched++;
@@ -1342,17 +1303,11 @@ int64_t repro_run(int64_t n, const int64_t *params,
                 } else {
                     ev_push(now + OP_LAT[op], s);
                 }
-#if F_VP_WB
-                if ((d_fl[s] & FL_INIQ) && OP_DEST[op] < 0) {
+                /* F_VP_WB holds a writer in the IQ until write-back */
+                if ((d_fl[s] & FL_INIQ) && !(F_VP_WB && OP_DEST[op] >= 0)) {
                     d_fl[s] &= ~FL_INIQ;
                     iq_count--;
                 }
-#else
-                if (d_fl[s] & FL_INIQ) {
-                    d_fl[s] &= ~FL_INIQ;
-                    iq_count--;
-                }
-#endif
             }
             if (!rh_n) {
                 memcpy(rh_q, rt_q, (size_t)rt_n * 4);
@@ -1385,92 +1340,62 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     s_iq_full++;
                     break;
                 }
-#if F_SQ
                 if (OP_STORE[op] && sq_n >= SQ_CAP) {
                     s_sq_full++;
                     break;
                 }
-#endif
-#if F_VP
-                if (cls >= 0 && pool_vp[cls].count == 0) {
-                    ren_vp_stalls++;
+                if (cls >= 0 && ren_pool[cls].count == 0) {
+                    if (F_VP)
+                        ren_vp_stalls++;
+                    else
+                        ren_decode_stalls++;
                     s_no_reg++;
                     break;
                 }
-#else
-                if (cls >= 0 && pool_phys[cls].count == 0) {
-                    ren_decode_stalls++;
-                    s_no_reg++;
-                    break;
-                }
-#endif
                 fb_h = (fb_h + 1) % (FB_SIZE + 1);
                 fb_n--;
                 src1 = r_src1[s];
                 src2 = r_src2[s];
                 if (src1 >= 0) {
                     int c = src1 >> CLASS_SHIFT;
-#if F_VP
-                    t1 = (c << TAG_SHIFT) | gvp[c][src1 & INDEX_MASK];
-#else
                     t1 = (c << TAG_SHIFT) | map_tab[c][src1 & INDEX_MASK];
-#endif
                     if (src2 >= 0) {
                         c = src2 >> CLASS_SHIFT;
-#if F_VP
-                        t2 = (c << TAG_SHIFT)
-                            | gvp[c][src2 & INDEX_MASK];
-#else
                         t2 = (c << TAG_SHIFT)
                             | map_tab[c][src2 & INDEX_MASK];
-#endif
                     }
                 } else if (src2 >= 0) {
                     int c = src2 >> CLASS_SHIFT;
-#if F_VP
-                    t1 = (c << TAG_SHIFT) | gvp[c][src2 & INDEX_MASK];
-#else
                     t1 = (c << TAG_SHIFT) | map_tab[c][src2 & INDEX_MASK];
-#endif
                 }
                 if (cls < 0) {
                     d_dtag[s] = -1;
                 } else {
                     int64_t idx = r_dest[s] & INDEX_MASK;
-#if F_VP
-                    int32_t new_vp = pool_alloc(&pool_vp[cls]);
-                    if (g_rc)
-                        goto bail;
-                    d_vpr[s] = new_vp;
-                    d_prev[s] = gvp[cls][idx];
-                    gvp[cls][idx] = new_vp;
-                    gv[cls][idx] = 0;
-                    d_dtag[s] = (cls << TAG_SHIFT) | new_vp;
-#else
-                    int32_t new_phys = pool_alloc(&pool_phys[cls]);
+                    int32_t id = pool_alloc(&ren_pool[cls]);
                     if (g_rc)
                         goto bail;
                     d_prev[s] = map_tab[cls][idx];
-                    d_dphys[s] = new_phys;
-                    map_tab[cls][idx] = new_phys;
-                    d_dtag[s] = (cls << TAG_SHIFT) | new_phys;
-#endif
+                    map_tab[cls][idx] = id;
+                    d_dtag[s] = (cls << TAG_SHIFT) | id;
                     ready_at[TIDX(d_dtag[s])] = FAR_FUTURE;
-                }
-#if F_VP
-                if (cls >= 0) {
-                    if (res_reg[cls] < res_nrr[cls]) {
-                        d_fl[s] |= FL_RES;
-                        res_reg[cls]++;
+                    if (!F_VP) {
+                        d_dphys[s] = id;
                     } else {
-                        if (pend_t[cls] > g_n) {
-                            g_rc = 2;
-                            goto bail;
+                        d_vpr[s] = id;
+                        gv[cls][idx] = 0;
+                        if (res_reg[cls] < res_nrr[cls]) {
+                            d_fl[s] |= FL_RES;
+                            res_reg[cls]++;
+                        } else {
+                            if (pend_t[cls] > g_n) {
+                                g_rc = 2;
+                                goto bail;
+                            }
+                            pend_q[cls][pend_t[cls]++] = s;
                         }
-                        pend_q[cls][pend_t[cls]++] = s;
                     }
                 }
-#endif
                 rob_q[(rob_h + rob_n) % (ROB_SIZE + 1)] = s;
                 rob_n++;
                 if (rob_n > s_peak_rob)
@@ -1560,12 +1485,9 @@ int64_t repro_run(int64_t n, const int64_t *params,
                     fb_n++;
                     budget--;
                     if (OP_BR[r_op[s]]) {
-#if F_PERFECT
-                        int predicted = r_taken[s] != 0;
-#else
-                        int predicted =
-                            bht[(r_pc[s] >> 2) & BHT_MASK] >= 2;
-#endif
+                        int predicted = F_PERFECT
+                            ? r_taken[s] != 0
+                            : bht[(r_pc[s] >> 2) & BHT_MASK] >= 2;
                         if (predicted != (r_taken[s] != 0)) {
                             d_fl[s] |= FL_MISP;
                             fetch_resume_at = FAR_FUTURE;
@@ -1583,8 +1505,7 @@ int64_t repro_run(int64_t n, const int64_t *params,
         /* ---- occupancy integrals + cycle advance -------------------- */
         s_int_occ += pool_npr[0] - pool_phys[0].count;
         s_fp_occ += pool_npr[1] - pool_phys[1].count;
-#if F_IDLE
-        if (rh_n) {
+        if (rh_n || !F_IDLE) {
             now += 1;
         } else {
             int64_t target = now + 1;
@@ -1626,25 +1547,11 @@ int64_t repro_run(int64_t n, const int64_t *params,
                         stall_kind = 1;
                     } else if (iq_count >= IQ_SIZE) {
                         stall_kind = 2;
-                    }
-#if F_SQ
-                    else if (OP_STORE[r_op[h]] && sq_n >= SQ_CAP) {
+                    } else if (OP_STORE[r_op[h]] && sq_n >= SQ_CAP) {
                         stall_kind = 3;
-                    }
-#endif
-                    else if (hcls < 0) {
+                    } else if (hcls < 0 || ren_pool[hcls].count) {
                         break;
-                    }
-#if F_VP
-                    else if (pool_vp[hcls].count) {
-                        break;
-                    }
-#else
-                    else if (pool_phys[hcls].count) {
-                        break;
-                    }
-#endif
-                    else {
+                    } else {
                         stall_kind = 4;
                     }
                 }
@@ -1684,9 +1591,6 @@ int64_t repro_run(int64_t n, const int64_t *params,
             } while (0);
             now = target;
         }
-#else
-        now += 1;
-#endif
         if (now - last_commit > HORIZON) {
             deadlock_head = rob_n ? (int64_t)rob_q[rob_h] : -1;
             g_rc = 1;
@@ -1735,13 +1639,8 @@ bail:
         counters[K_BUS_TRANSFERS] = bus_transfers;
         counters[K_BUS_BUSY_CYCLES] = bus_busy;
         counters[K_BUS_FREE_AT] = bus_free;
-#if F_RF
-        counters[K_RF_READ_STALLS] = rf_read_stalls;
+        counters[K_RF_READ_STALLS] = F_RF ? rf_read_stalls : 0;
         counters[K_RF_BANK_CONFLICTS] = rf_bank_conflicts;
-#else
-        counters[K_RF_READ_STALLS] = 0;
-        counters[K_RF_BANK_CONFLICTS] = 0;
-#endif
         counters[K_REN_DECODE_STALLS] = ren_decode_stalls;
         counters[K_REN_VP_STALLS] = ren_vp_stalls;
         counters[K_REN_SQUASHES] = ren_squashes;
@@ -1750,17 +1649,10 @@ bail:
         counters[K_FL_INT_MIN_FREE] = pool_phys[0].min_free;
         counters[K_FL_FP_ALLOCS] = pool_phys[1].allocations;
         counters[K_FL_FP_MIN_FREE] = pool_phys[1].min_free;
-#if F_VP
-        counters[K_VP_INT_ALLOCS] = pool_vp[0].allocations;
-        counters[K_VP_INT_MIN_FREE] = pool_vp[0].min_free;
-        counters[K_VP_FP_ALLOCS] = pool_vp[1].allocations;
-        counters[K_VP_FP_MIN_FREE] = pool_vp[1].min_free;
-#else
-        counters[K_VP_INT_ALLOCS] = 0;
-        counters[K_VP_INT_MIN_FREE] = 0;
-        counters[K_VP_FP_ALLOCS] = 0;
-        counters[K_VP_FP_MIN_FREE] = 0;
-#endif
+        counters[K_VP_INT_ALLOCS] = F_VP ? pool_vp[0].allocations : 0;
+        counters[K_VP_INT_MIN_FREE] = F_VP ? pool_vp[0].min_free : 0;
+        counters[K_VP_FP_ALLOCS] = F_VP ? pool_vp[1].allocations : 0;
+        counters[K_VP_FP_MIN_FREE] = F_VP ? pool_vp[1].min_free : 0;
         {
             int k;
             for (k = 0; k < 6; k++) {

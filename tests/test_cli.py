@@ -115,7 +115,9 @@ class TestCommands:
             "", f"repro: REPRO_ENGINE: {BAD_ENGINE}\n")
 
     def test_engines_without_toolchain_falls_back_to_interp(
-            self, capsys, monkeypatch):
+            self, capsys, monkeypatch, tmp_path):
+        # With no artifact on disk either, native has nothing to load.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(native, "_toolchain", None)
         assert main(["engines"]) == 0
         out = capsys.readouterr().out

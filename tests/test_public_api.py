@@ -1,5 +1,10 @@
 """Public-API surface tests: imports, exports, and version."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import repro
 
 
@@ -10,6 +15,33 @@ class TestTopLevelExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_service_layer_loads_on_first_use(self):
+        """``import repro`` leaves the service layer (and its asyncio
+        and http.client imports) unloaded; ``repro.Gateway`` and a star
+        import still reach it.  A fresh interpreter, because this one
+        has long imported everything."""
+        probe = (
+            "import sys, repro\n"
+            "assert 'repro.service' not in sys.modules\n"
+            "assert 'asyncio' not in sys.modules\n"
+            "assert 'http.client' not in sys.modules\n"
+            "from repro.service import Gateway\n"
+            "assert repro.Gateway is Gateway\n"
+            "ns = {}\n"
+            "exec('from repro import *', ns)\n"
+            "assert ns['GatewayClient'] is repro.GatewayClient\n"
+            "try:\n"
+            "    repro.no_such_export\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('missing export did not raise')\n")
+        src = pathlib.Path(repro.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_key_entry_points_present(self):
         for name in ("simulate", "Processor", "ProcessorConfig",

@@ -17,9 +17,11 @@ the interpreter's.  This suite checks the contract three ways:
 import importlib.util
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro import experiments
 from repro.core.virtual_physical import AllocationStage
 from repro.experiments.figures import NRR_SWEEP
 from repro.isa.instruction import TraceRecord
@@ -268,9 +270,11 @@ def test_native_expected_tier_for_early_release():
     assert enginediff.expected_tier(choice) == "interp"
 
 
-def test_native_unavailable_falls_back_to_interp(monkeypatch):
-    """Without a toolchain the run lands on the interpreter — loudly
-    (one counted fallback), never a crash."""
+def test_native_unavailable_falls_back_to_interp(tmp_path, monkeypatch):
+    """Without a toolchain (and no artifact on disk to load) the run
+    lands on the interpreter — loudly (one counted fallback), never a
+    crash."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(native, "_toolchain", None)
     native.clear_cache()
     processor, stats = _run(ProcessorConfig(), "native", n=2_000)
@@ -280,10 +284,18 @@ def test_native_unavailable_falls_back_to_interp(monkeypatch):
     native.clear_cache()
 
 
-def _unsizable_param_block(processor, fvec, _real=native._param_block):
-    block = _real(processor, fvec)
-    block[native._PARAM_NAMES.index("FU_N_0")] = -1  # the C side: rc 2
-    return block
+def _patched_param_block(**slots):
+    """A ``_param_block`` that overwrites ``slots``; each block below is
+    one the C side refuses with rc 2 before running anything."""
+    def param_block(processor, flags, _real=native._param_block):
+        block = _real(processor, flags)
+        for name, value in slots.items():
+            block[native._PARAM_NAMES.index(name)] = value
+        return block
+    return param_block
+
+
+_unsizable_param_block = _patched_param_block(FU_N_0=-1)
 
 
 #: More ways a native request misses: ``case -> (config, run overrides,
@@ -301,6 +313,25 @@ FALLBACKS = {
     "native-invariant": (virtual_physical_config(nrr=8), {}, {},
                          {"_param_block": _unsizable_param_block},
                          "native-invariant"),
+    # Flag sets the loop cannot run: banks without the port model, a VP
+    # hook or retry gating on the conventional renamer, a non-0/1 flag.
+    "banks-without-port-model": (
+        ProcessorConfig(rf_model=True, rf_banks=2, rf_bank_read_ports=2),
+        {}, {},
+        {"_param_block": _patched_param_block(F_RF=0)},
+        "native-invariant"),
+    "vp-hook-without-vp": (
+        ProcessorConfig(), {}, {},
+        {"_param_block": _patched_param_block(F_ISSUE=1)},
+        "native-invariant"),
+    "retry-without-vp": (
+        ProcessorConfig(), {}, {},
+        {"_param_block": _patched_param_block(F_RETRY=1)},
+        "native-invariant"),
+    "flag-not-boolean": (
+        virtual_physical_config(nrr=8), {}, {},
+        {"_param_block": _patched_param_block(F_IDLE=2)},
+        "native-invariant"),
 }
 
 
@@ -454,7 +485,7 @@ def test_native_artifact_reused_across_processes_worth_of_state():
     assert s1["engine_fallbacks"] == 0
 
 
-#: Two sizing points of one flag vector (vp-writeback, no port model, no
+#: Two sizing points of one flag set (vp-writeback, no port model, no
 #: store-queue bound) that differ in every runtime-sized structure: NRR,
 #: register counts, widths, ROB/IQ/fetch buffer, cache geometry and
 #: MSHRs, FU counts and the BHT.
@@ -473,22 +504,30 @@ def _key(config):
     return native.native_key(Processor(config))
 
 
-def test_native_key_ignores_sizing_but_not_flags():
+def _flags(processor):
+    return tuple(native.native_features(processor)[0].items())
+
+
+def test_native_key_ignores_sizing_and_flags():
+    """Sizing and every feature flag travel in the parameter block, so
+    every processor the loop accepts shares the one artifact."""
     assert _key(SIZING_A) == _key(SIZING_B)
     assert _key(SIZING_A) == _key(virtual_physical_config(nrr=1))
-    flag_changes = (
+    processors = [Processor(config) for config in (
+        SIZING_A,
         conventional_config(),
         virtual_physical_config(nrr=8, allocation=AllocationStage.ISSUE),
         SIZING_A.with_(perfect_branch_prediction=True),
         SIZING_A.with_(store_queue_size=16),
         SIZING_A.with_(rf_model=True),
         SIZING_A.with_(rf_model=True, rf_banks=2, rf_bank_read_ports=2),
-    )
-    keys = [_key(config) for config in flag_changes]
-    assert _key(SIZING_A) not in keys
-    assert len(set(keys)) == len(keys)
-    assert native.native_key(Processor(SIZING_A, idle_skip=False)) \
-        != _key(SIZING_A)
+        SIZING_A.with_(retry_gating=True),
+    )] + [Processor(SIZING_A, idle_skip=False)]
+    flag_sets = [_flags(processor) for processor in processors]
+    assert len(set(flag_sets)) == len(flag_sets)
+    assert {native.native_key(processor) for processor in processors} == {
+        _key(SIZING_A)}
+    assert _key(policy_config("early-release")) is None
 
 
 def test_param_block_reads_sizing_from_the_config():
@@ -505,13 +544,43 @@ def test_param_block_reads_sizing_from_the_config():
         SIZING_B.deadlock_horizon, 1 + processor._commit_extra)
 
 
-def test_figure4_and_5_grids_need_three_artifacts():
-    configs = [conventional_config()] + [
+class _GridRecorder:
+    """A stand-in result cache: records every config an experiment
+    submits and answers each point with a placeholder result."""
+
+    def __init__(self):
+        self.configs = {}
+
+    def run_specs(self, specs, trace=None):
+        specs = list(specs)
+        for spec in specs:
+            self.configs[spec.config.key()] = spec.config
+        stats = SimpleNamespace(executions_per_commit=1.0, rf_read_stalls=0)
+        return [SimpleNamespace(ipc=1.0, stats=stats)] * len(specs)
+
+
+def test_every_experiment_grid_shares_one_artifact():
+    """Every natively lowerable config of every ``repro.experiments``
+    grid (37 of them, over 8 flag sets) needs the same one artifact;
+    the Figure 4 and 5 grids' 13 configs are among them."""
+    recorder = _GridRecorder()
+    for run in (experiments.run_table2, experiments.run_figure4,
+                experiments.run_figure5, experiments.run_figure6,
+                experiments.run_figure7, experiments.run_ablation,
+                experiments.run_port_sensitivity,
+                experiments.run_window_scaling,
+                experiments.run_branch_sensitivity):
+        run(cache=recorder)
+    figures45 = [conventional_config()] + [
         virtual_physical_config(nrr=nrr, allocation=stage)
         for stage in (AllocationStage.WRITEBACK, AllocationStage.ISSUE)
         for nrr in NRR_SWEEP]
-    assert len({config.key() for config in configs}) == 13
-    assert len({_key(config) for config in configs}) == 3
+    assert {config.key() for config in figures45} <= set(recorder.configs)
+    processors = [Processor(config) for config in recorder.configs.values()]
+    lowerable = [p for p in processors if native.native_key(p) is not None]
+    assert len(lowerable) >= 37
+    assert len({_flags(p) for p in lowerable}) >= 8
+    assert {native.native_key(p) for p in lowerable} == {_key(SIZING_A)}
 
 
 @needs_toolchain
@@ -530,10 +599,33 @@ def test_native_one_library_serves_interleaved_sizing_points():
 
 
 @needs_toolchain
+def test_native_one_library_serves_interleaved_flag_vectors():
+    """conventional -> vp-writeback -> vp-issue with a banked port model
+    -> conventional through one loaded library, each bit-identical to
+    the interpreter: a statistic or table one flag set leaves behind
+    shows up as a divergence on a later run."""
+    native.clear_cache()
+    for config in (
+            conventional_config(),
+            virtual_physical_config(nrr=8, read_ports=2),  # port stalls
+            virtual_physical_config(
+                nrr=16, allocation=AllocationStage.ISSUE, rf_model=True,
+                rf_banks=2, rf_bank_read_ports=2, rf_bank_write_ports=1),
+            conventional_config()):
+        processor, stats = _run(config, "native", n=3_000)
+        _, reference = _run(config, "interp", n=3_000)
+        assert processor.engine_used == "native"
+        assert stats["engine_fallbacks"] == 0
+        assert stats == reference
+    assert native.cache_info()["loaded_libraries"] == 1
+
+
+@needs_toolchain
 def test_native_artifact_outcomes_are_counted(tmp_path, monkeypatch):
-    """A second NRR of one flag vector is served from memory, not built;
-    a fresh process finds it on disk; no toolchain counts a failure."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    """A second config is served from memory, not built; a fresh
+    process finds the artifact on disk, with or without a toolchain;
+    no toolchain and no artifact counts a failure."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     native.clear_cache()
     outcomes = ("built", "disk", "memory", "failed")
 
@@ -541,18 +633,42 @@ def test_native_artifact_outcomes_are_counted(tmp_path, monkeypatch):
         return {o: native._ARTIFACTS.value(outcome=o) for o in outcomes}
 
     before = counts()
-    for nrr in (4, 16):
-        _run(virtual_physical_config(nrr=nrr), "native", n=1_000)
+    _run(virtual_physical_config(nrr=4), "native", n=1_000)
+    _run(conventional_config(), "native", n=1_000)
     native.clear_cache()  # what a fresh process sees
     _run(virtual_physical_config(nrr=32), "native", n=1_000)
     monkeypatch.setattr(native, "_toolchain", None)
     native.clear_cache()
-    _run(virtual_physical_config(nrr=32), "native", n=1_000)
+    processor, _ = _run(virtual_physical_config(nrr=32), "native", n=1_000)
+    assert processor.engine_used == "native"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
+    native.clear_cache()
+    processor, _ = _run(virtual_physical_config(nrr=32), "native", n=1_000)
+    assert processor.engine_used == "interp"
     native.clear_cache()
     after = counts()
     assert {o: after[o] - before[o] for o in outcomes} == {
-        "built": 1, "disk": 1, "memory": 1, "failed": 1}
-    assert len(list((tmp_path / "native").glob("engine-*.so"))) == 1
+        "built": 1, "disk": 2, "memory": 1, "failed": 1}
+    assert len(list((tmp_path / "cache" / "native").glob("engine-*.so"))) \
+        == 1
+
+
+@needs_toolchain
+def test_artifact_on_disk_needs_no_toolchain_probe(tmp_path, monkeypatch):
+    """The ladder is memory -> disk -> probe and build: a process that
+    finds the artifact on disk never runs the probe compile."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    native.clear_cache()
+    _run(ProcessorConfig(), "native", n=500)  # builds the artifact
+    probes = []
+    monkeypatch.setattr(native, "_toolchain", native._TOOLCHAIN_UNSET)
+    monkeypatch.setattr(native, "_try_compiler",
+                        lambda cc: probes.append(cc) or True)
+    native.clear_cache()
+    processor, _ = _run(virtual_physical_config(nrr=8), "native", n=500)
+    assert processor.engine_used == "native"
+    assert probes == []
+    native.clear_cache()
     assert 'repro_native_artifacts_total{outcome="memory"}' \
         in get_registry().render()
 

@@ -2,8 +2,9 @@
 """Chaos smoke: seeded fault injection across the distributed stack.
 
 Run with ``PYTHONPATH=src``; everything (workers, gateway, reference
-run) is started by this script against a throwaway cache directory, so
-it needs no prior setup.  Four phases, all asserted bit-identical to
+run, and this process's own cache use) runs against a throwaway cache
+directory, so it needs no prior setup and leaves the user's default
+cache untouched.  Four phases, all asserted bit-identical to
 a serial in-process reference run of the same grid:
 
 1. **Reference** — serial execution of the acceptance grid, on the
@@ -18,8 +19,8 @@ a serial in-process reference run of the same grid:
 3. **Native-engine chaos** — the same worker/coordinator fault plans
    replayed with every spec pinned to the C-compiled *native* cycle
    engine (the engine pin rides the spec wire format to the workers;
-   each fresh worker process compiles or loads the cached shared
-   objects before the plan kills it).  Transport-level chaos on top of
+   each fresh worker process compiles or loads the cached native
+   artifact before the plan kills it).  Transport-level chaos on top of
    the native tier must still merge bit-identical to the serial
    *interpreted* reference — and the stats dumps carry
    ``engine_fallbacks``, so a silent fallback to the interpreter on a
@@ -278,6 +279,10 @@ def main(argv=None):
     log = FaultLog(args.log)
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         tmp = pathlib.Path(tmp)
+        # This process's own cache use (the native engagement probe, the
+        # coordinator's degraded local fallback) stays in the throwaway
+        # directory too, never in the user's default cache.
+        os.environ["REPRO_CACHE_DIR"] = str(tmp / "coordinator-cache")
 
         specs = build_grid(args.instructions, args.skip, seeds=2)
         log.write(f"reference: running {len(specs)} point(s) serially")
@@ -289,7 +294,7 @@ def main(argv=None):
         # Same transport chaos, C-compiled native cycle engine
         # underneath: the seeded fault plans replay exactly (fresh
         # worker processes, fresh plan counters; each compiles or loads
-        # the specialized shared objects before the plan kills it) and
+        # the native artifact before the plan kills it) and
         # the merged results must still equal the *interpreted* serial
         # reference bit for bit.  Skipped, loudly, on hosts without a C
         # toolchain: the tier would otherwise fall back and silently
