@@ -26,6 +26,7 @@ Commands
 ``engines``
     Report cycle-engine tier availability on this host: the C toolchain
     probe, the native artifact cache, and what ``auto`` resolves to.
+    ``--prebuild`` builds (or finds) the one native artifact instead.
 ``cache compact``
     Merge the persistent store's writer segments and rewrite it keeping
     the newest record per key (``--prune-stale`` also drops records
@@ -581,7 +582,18 @@ def cmd_bench(args):
 
 
 def cmd_engines(args):
-    """Report cycle-engine tier availability on this host."""
+    """Report cycle-engine tier availability on this host, or build the
+    native artifact (``--prebuild``)."""
+    if args.prebuild:
+        from repro.uarch import native
+
+        outcome, where = native.prebuild()
+        if outcome is None:
+            print(f"repro engines --prebuild: no native artifact ({where})",
+                  file=sys.stderr)
+            return 1
+        print(f"{outcome} {where}")
+        return 0
     from repro.obs.health import engine_tier_report
 
     report = engine_tier_report()
@@ -595,7 +607,9 @@ def cmd_engines(args):
     nat = report["native"]
     if nat["available"]:
         art = nat["artifacts"]
-        print(f"native: available (toolchain {nat['toolchain']}, "
+        how = ("artifact on disk" if nat["artifact_on_disk"]
+               else f"builds with {nat['toolchain']}")
+        print(f"native: available ({how}, "
               f"template {nat['template_fingerprint']}, "
               f"{art['artifacts']} cached artifact(s) in {art['dir']})")
     else:
@@ -1152,6 +1166,10 @@ def build_parser():
              "artifact cache) on this host")
     engines.add_argument("--json", action="store_true",
                          help="emit the raw availability report JSON")
+    engines.add_argument("--prebuild", action="store_true",
+                         help="build (or find) the one native artifact and "
+                              "print the outcome (built, disk or memory) "
+                              "and its path; exit 1 when there is none")
     engines.set_defaults(fn=cmd_engines)
 
     serve = sub.add_parser(

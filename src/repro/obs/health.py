@@ -16,8 +16,9 @@ def engine_tier_report():
 
     Returns one entry per tier of :data:`repro.uarch.config.ENGINES`
     plus ``resolved_auto``: the interpreter is always available (pure
-    Python), the native tier depends on a C toolchain and a writable
-    artifact dir, and ``resolved_auto`` is the tier ``engine="auto"``
+    Python), the native tier when its artifact is on disk or a C
+    toolchain and a writable artifact dir can build it, and
+    ``resolved_auto`` is the tier ``engine="auto"``
     picks here — or ``{"error": ...}`` when ``REPRO_ENGINE`` names no
     tier, a setup fault this report exists to show, not to crash on.
     """

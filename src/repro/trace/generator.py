@@ -135,13 +135,17 @@ class _KernelProgram:
 # simulations of one point — benchmark repeats, engine A/B comparisons,
 # config sweeps over one workload — share one materialization instead of
 # re-running the generator.  Two process-level caches hold them, keyed
-# by (workload name, seed); each entry keeps its generator and extends
-# in place when a later caller needs a longer prefix:
+# by (workload name, seed):
 #
-# * the record LRU (interpreter): [records, stream], 4 entries;
-# * the column LRU (native tier): (TraceColumns, stream), bounded by
-#   COLUMN_CACHE_BYTES of columns, so the nine paper workloads stay
-#   resident through a Figure 4+5 sweep.
+# * the record LRU (interpreter): [records, stream], 4 entries; each
+#   keeps its generator and extends in place when a later caller needs
+#   a longer prefix;
+# * the column LRU (native tier): TraceColumns only, bounded by
+#   COLUMN_CACHE_BYTES, so the nine paper workloads stay resident
+#   through a Figure 4+5 sweep.  An entry holds no generator (whose
+#   pattern state and unfinished kernel visit would cost more than the
+#   budget counts); a longer prefix is a new entry, built from the
+#   start, and held columns are never resized.
 _MATERIALIZED: OrderedDict = OrderedDict()
 _MATERIALIZED_MAX = 4
 
@@ -192,30 +196,27 @@ def trace_columns(workload, seed, count):
 
     The native tier's counterpart of :func:`materialized_trace`, with
     the same registry-workload contract, served from the column LRU.
-    Raises ``OverflowError`` (and drops the entry) when a value does not
-    fit its column.
+    A request longer than the held prefix builds a new entry from the
+    start and replaces the old one, which callers may still hold
+    unchanged.  Raises ``OverflowError`` (and caches nothing) when a
+    value does not fit its column.
     """
     key = (workload.name, seed)
     with _COLUMN_LOCK:
-        entry = _COLUMN_CACHE.get(key)
-        if entry is None:
-            entry = (TraceColumns(workload, seed),
-                     iter(SyntheticTrace(workload, seed)))
-            _COLUMN_CACHE[key] = entry
-        else:
+        columns = _COLUMN_CACHE.get(key)
+        if columns is not None and len(columns) >= count:
             _COLUMN_CACHE.move_to_end(key)
-        columns, stream = entry
-        try:
-            while len(columns) < count:
-                columns._append(list(itertools.islice(
-                    stream, min(count - len(columns), _COLUMN_CHUNK))))
-        except OverflowError:
-            del _COLUMN_CACHE[key]  # its stream ran past its columns
-            raise
-        held = sum(cols.nbytes for cols, _ in _COLUMN_CACHE.values())
+            return columns
+        columns = TraceColumns(workload, seed)
+        stream = iter(SyntheticTrace(workload, seed))
+        while len(columns) < count:
+            columns._append(list(itertools.islice(
+                stream, min(count - len(columns), _COLUMN_CHUNK))))
+        _COLUMN_CACHE[key] = columns
+        _COLUMN_CACHE.move_to_end(key)
+        held = sum(cols.nbytes for cols in _COLUMN_CACHE.values())
         while held > COLUMN_CACHE_BYTES and len(_COLUMN_CACHE) > 1:
-            oldest, _ = _COLUMN_CACHE.popitem(last=False)[1]
-            held -= oldest.nbytes
+            held -= _COLUMN_CACHE.popitem(last=False)[1].nbytes
     return columns
 
 
@@ -288,17 +289,14 @@ class TraceColumns:
         return i < len(bad) and bad[i] < stop
 
     def _append(self, records):
-        """Append a list of records.  Every column is converted before
-        any is extended, so an ``OverflowError`` appends nothing."""
+        """Append a list of records while the columns are being built.
+        Every column is converted before any is extended, so an
+        ``OverflowError`` appends nothing."""
         start = len(self)
         tails = [array(code, map(attrgetter(name), records))
                  for name, code in COLUMNS]
         for (name, _), tail in zip(COLUMNS, tails):
-            column = getattr(self, name)
-            try:
-                column.extend(tail)
-            except BufferError:  # a native run holds its buffer: copy
-                setattr(self, name, column + tail)
+            getattr(self, name).extend(tail)
         _, op, _, src1, src2, _, _ = tails
         self.bad_stores.extend(
             start + i for i in itertools.compress(

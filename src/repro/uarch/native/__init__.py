@@ -5,11 +5,12 @@ CPython bytecode dispatch on every simulated cycle.  This package
 lowers the same loop to C99: a header holding only fixed constants (the
 tag encoding, the opcode decode tables and the counter and parameter
 slot numbers) is prepended to ``engine_template.c`` (one translation
-unit), compiled once with the system toolchain (``cc -O2 -shared
--fPIC``; ``REPRO_CC`` overrides the probe order), and loaded through
-:mod:`ctypes`.  Everything a ``ProcessorConfig`` decides travels to
-``repro_run`` at run time in one ``int64`` parameter block
-(:data:`_PARAM_NAMES`): the ``F_*`` feature flags
+unit), compiled once with the system toolchain and the flags of
+:data:`CFLAGS` (``cc -O1 -shared -fPIC``; ``REPRO_CC`` overrides the
+probe order), and loaded through :mod:`ctypes`.  Everything a
+``ProcessorConfig`` decides travels to ``repro_run`` at run time in one
+``int64`` parameter block (:data:`_PARAM_NAMES`): the ``F_*`` feature
+flags
 (:func:`native_features`; each is an ordinary C branch on a value fixed
 for the run) and every sizing value — per-class NLR/NPR/NVR/NRR,
 widths, ROB/IQ/fetch-buffer sizes, ports, cache geometry, FU counts,
@@ -17,21 +18,23 @@ the BHT mask, the deadlock horizon — from which the C side allocates
 its tables.
 The loop reads the trace as typed columns
 (:class:`~repro.trace.generator.TraceColumns`, cached once per registry
-``(workload, seed)``) in place, through pointers offset past the warm-up
-prefix, so no record list is built or copied per run; the whole run
-executes in native code, and a flat counter block is mapped back onto
+``(workload, seed)``) in place, so no record list is built or copied per
+run: it warms the cache tags and the branch predictor from the first
+``skip`` entries, then simulates the rest; the whole run executes in
+native code, and a flat counter block is mapped back onto
 ``SimStats`` — the contract is **bit-identical** statistics with the
 interpreter, enforced by the differential stack
 (``tools/engine_diff.py``, golden replays, the chaos differential).
 
 The shared object is cached under ``REPRO_CACHE_DIR/native/`` keyed by
-``sha256(header + template)`` (:func:`native_key`).  The header depends
-on no configuration, so there is one artifact per template: every
-natively lowerable configuration (the Figure 4 and 5 grids, every
+``sha256(flags + header + template)`` (:func:`native_key`).  The header
+depends on no configuration, so there is one artifact per template:
+every natively lowerable configuration (the Figure 4 and 5 grids, every
 ``repro.experiments`` grid) shares it, and a machine compiles it once
-per code version.  The file name also embeds a template fingerprint so
-stale artifacts from an older code version are recognizable (``repro
-cache stats`` flags them, ``repro cache compact`` prunes them).  A
+per code version.  The file name also embeds a fingerprint of the
+template and the compiler flags, so an artifact from an older code
+version or built with other flags is recognizable as stale (``repro
+cache stats`` flags it, ``repro cache compact`` prunes it).  A
 cross-process ``flock`` serializes concurrent builds of the artifact.
 
 Everything degrades loudly but gracefully: no toolchain (when the
@@ -40,7 +43,9 @@ cannot lower, or a trace shape it does not model (a store missing a
 source in the run window, a value too wide for its column) falls back
 to the interpreter, with the reason recorded
 in :data:`build_failures` and the fallback counted in
-``SimStats.engine_fallbacks``.
+``SimStats.engine_fallbacks``; the C loop warms only its own copies of
+the cache tags and the predictor, so the interpreter warms its own from
+records, once, before it takes over.
 
 Known limitation: after a native run the renamer's *map-table and
 free-list contents* are not synced back (only their statistics
@@ -144,6 +149,12 @@ _PARAM_NAMES = _FLAG_NAMES + (
 )
 N_PARAMS = len(_PARAM_NAMES)
 
+#: The compiler flags of every build, the toolchain probe's included.
+#: Part of the artifact's identity (:func:`template_fingerprint`).
+#: ``-O1`` compiles in about half the time of ``-O2``, and its loop
+#: measured within 2% of ``-O2``'s (ROADMAP, "Compile cost").
+CFLAGS = ("-O1", "-shared", "-fPIC")
+
 _PROBE_SOURCE = "int repro_probe(void) { return 42; }\n"
 
 #: "Never" on the event clock; the same sentinel as the interpreter's.
@@ -163,11 +174,12 @@ def _template_text():
 
 @lru_cache(maxsize=None)
 def template_fingerprint():
-    """Short hash of the C template; embedded in artifact file names so
-    artifacts from an older template are recognizable as stale.  Hashed
-    once per process."""
-    text = _template_text().encode("utf-8")
-    return hashlib.sha256(text).hexdigest()[:8]
+    """Short hash of the compiler flags and the C template; embedded in
+    artifact file names so artifacts from an older template, or built
+    with other flags, are recognizable as stale.  Hashed once per
+    process."""
+    text = " ".join(CFLAGS) + "\n" + _template_text()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
 
 
 def _try_compiler(cc):
@@ -179,7 +191,7 @@ def _try_compiler(cc):
             fh.write(_PROBE_SOURCE)
         try:
             result = subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", out, src],
+                [cc, *CFLAGS, "-o", out, src],
                 capture_output=True, timeout=60)
         except (OSError, subprocess.TimeoutExpired):
             return False
@@ -350,8 +362,8 @@ def render_header():
 
 @lru_cache(maxsize=None)
 def _artifact_key():
-    blob = (render_header() + _template_text()).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    blob = " ".join(CFLAGS) + "\n" + render_header() + _template_text()
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 @lru_cache(maxsize=None)
@@ -362,10 +374,10 @@ def _artifact_name():
 
 def native_key(processor):
     """Stable identity of the artifact a processor would run on, or
-    ``None`` when it cannot run natively.  Hashes the *rendered* header
-    plus the template text, so any semantic change to either produces a
-    new artifact; the header holds no configuration, so every processor
-    that can run natively shares one key."""
+    ``None`` when it cannot run natively.  Hashes the compiler flags,
+    the *rendered* header and the template text, so a change to any of
+    them produces a new artifact; the header holds no configuration, so
+    every processor that can run natively shares one key."""
     flags, _ = native_features(processor)
     return None if flags is None else _artifact_key()
 
@@ -433,7 +445,7 @@ def _build_lock(directory):
 
 def _declare(lib):
     lib.repro_run.restype = ctypes.c_int64
-    lib.repro_run.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 11
+    lib.repro_run.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
     return lib
 
 
@@ -482,8 +494,7 @@ def build_library(processor):
                 try:
                     src_path.write_text(source, encoding="utf-8")
                     result = subprocess.run(
-                        [cc, "-O2", "-shared", "-fPIC",
-                         "-o", str(tmp_path), str(src_path)],
+                        [cc, *CFLAGS, "-o", str(tmp_path), str(src_path)],
                         capture_output=True, timeout=300)
                     if result.returncode != 0:
                         return _failed("compile-error")
@@ -511,8 +522,8 @@ def build_library(processor):
 # -- execution ---------------------------------------------------------------
 
 
-def _ptr(arr, offset=0):
-    return ctypes.c_void_p(arr.buffer_info()[0] + offset * arr.itemsize)
+def _ptr(arr):
+    return ctypes.c_void_p(arr.buffer_info()[0])
 
 
 def _sync(processor, c, tags_arr, bht_arr):
@@ -595,17 +606,18 @@ def _sync(processor, c, tags_arr, bht_arr):
 
 
 def execute(processor, columns, skip, n):
-    """Run records ``[skip, skip + n)`` of ``columns`` (a
-    :class:`~repro.trace.generator.TraceColumns`) through the native
-    loop on ``processor``, whose warm-up the caller has done.
+    """Warm ``processor`` on records ``[0, skip)`` of ``columns`` (a
+    :class:`~repro.trace.generator.TraceColumns`) and run records
+    ``[skip, skip + n)`` through the native loop.
 
-    The C loop reads the shared columns in place, through pointers
-    offset by ``skip``.  Returns ``True`` when the native tier ran and
+    The C loop reads the shared columns in place from entry 0 and does
+    the warm-up itself.  Returns ``True`` when the native tier ran and
     the processor's state was synced (the caller finishes with
     ``_harvest_stats`` exactly as after an interpreted run), ``False``
-    on any fallback (reason recorded in :data:`build_failures`), and
-    raises ``SimulationDeadlock`` — with the interpreter's message
-    prefix — when the simulation deadlocks.
+    on any fallback (reason recorded in :data:`build_failures`; the
+    processor is untouched, warm-up included), and raises
+    ``SimulationDeadlock`` — with the interpreter's message prefix —
+    when the simulation deadlocks.
     """
     if n == 0:
         _note_failure("empty-trace")
@@ -631,17 +643,11 @@ def execute(processor, columns, skip, n):
     tags_arr = array("q", processor.mem.cache._tags)
     bht_arr = array("b", processor.bht._counters)
     counters = array("q", bytes(8 * N_COUNTERS))
-    trace = columns.arrays()
-    # Exported buffers cannot be resized, so the pointers stay valid
-    # while the C loop reads them (a concurrent extension copies).
-    pins = [memoryview(column) for column in trace]
-    try:
-        rc = lib.repro_run(ctypes.c_int64(n), _ptr(params),
-                           *(_ptr(column, skip) for column in trace),
-                           _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
-    finally:
-        for pin in pins:
-            pin.release()
+    # Columns are never resized once built, and the GIL stays held
+    # through the call, so the pointers stay valid while C reads them.
+    rc = lib.repro_run(skip, n, _ptr(params),
+                       *map(_ptr, columns.arrays()),
+                       _ptr(tags_arr), _ptr(bht_arr), _ptr(counters))
     if rc in (0, 1):
         _sync(processor, counters, tags_arr, bht_arr)
         if rc == 1:
@@ -655,9 +661,9 @@ def execute(processor, columns, skip, n):
                 f"{'native seq %d' % head if head >= 0 else None}")
         return True
     # rc 2: a C-side invariant check fired *before* any corrupting
-    # write; nothing was synced, so the Python state is still clean and
-    # the interpreter re-runs the point and raises the same crash.
-    # rc 3: allocation failure, nothing ran.
+    # write; nothing was synced, so the Python state is still clean (not
+    # even warmed) and the interpreter re-runs the point and raises the
+    # same crash.  rc 3: allocation failure, nothing ran.
     _note_failure("native-alloc" if rc == 3 else "native-invariant")
     return False
 
@@ -708,22 +714,42 @@ def probe():
     ``tools/native_probe.py``).
 
     Every check that the tier needs at run time, checked up front:
-    a working C compiler (probe-compiled, not just found on PATH) and a
-    writable artifact cache directory.  ``available`` is the
-    conjunction — when it is ``False``, ``engine=native`` falls back
-    to the interpreter on every run (loudly, via
+    whether the current artifact is on disk, a working C compiler
+    (probe-compiled, not just found on PATH) and a writable artifact
+    cache directory.  ``available`` mirrors :func:`build_library`'s
+    ladder: the artifact is on disk (a run loads it, with no compiler),
+    or it can be built there.  When it is ``False``, ``engine=native``
+    falls back to the interpreter on every run (loudly, via
     ``SimStats.engine_fallbacks``).
     """
     cc = toolchain()
     directory = artifact_dir()
+    on_disk = (directory / _artifact_name()).is_file()
     writable = _dir_writable(directory)
     return {
         "toolchain": cc,
         "cache_dir": str(directory),
         "cache_dir_writable": writable,
+        "artifact_on_disk": on_disk,
         "template_fingerprint": template_fingerprint(),
-        "available": cc is not None and writable,
+        "available": on_disk or (cc is not None and writable),
     }
+
+
+def prebuild():
+    """Build or load the one artifact through :func:`build_library`
+    (``repro engines --prebuild``): ``(outcome, path)``, the outcome
+    being ``built``, ``disk`` or ``memory``, or ``(None, reason)``."""
+    from repro.uarch.processor import Processor
+
+    outcomes = ("memory", "disk", "built")
+    before = [_ARTIFACTS.value(outcome=o) for o in outcomes]
+    lib, reason = build_library(Processor())
+    if lib is None:
+        return None, reason
+    outcome = next(o for o, count in zip(outcomes, before)
+                   if _ARTIFACTS.value(outcome=o) > count)
+    return outcome, artifact_dir() / _artifact_name()
 
 
 def prune_stale():

@@ -21,21 +21,21 @@
  * interpreter.
  *
  * Entry point:
- *   int64_t repro_run(n, params, rec_pc, rec_op, rec_dest, rec_src1,
- *                     rec_src2, rec_addr, rec_taken, cache_tags_io,
- *                     bht_io, counters)
+ *   int64_t repro_run(skip, n, params, rec_pc, rec_op, rec_dest,
+ *                     rec_src1, rec_src2, rec_addr, rec_taken,
+ *                     cache_tags_io, bht_io, counters)
  * The rec_* pointers are the trace's typed columns (int64 pc and addr,
  * int16 registers, int8 op and taken; repro.trace.generator.COLUMNS),
- * read in place: each points at the first record of the run window, so
- * seq s is column entry skip + s and the loop never sees the warm-up
- * prefix.
+ * read in place from entry 0.  The first skip entries warm the cache
+ * tags and the branch predictor functionally (warm_up); the run window
+ * is entries [skip, skip + n), so seq s is column entry skip + s.
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated or a parameter
  * block the loop cannot size or run (an inconsistent flag set; nothing
- * is synced, the caller falls back
- * to the interpreter, which reproduces the same crash); 3 = out of
- * memory (nothing ran, caller falls back).
+ * is synced, the caller warms its own cache and predictor and falls
+ * back to the interpreter, which reproduces the same crash); 3 = out of
+ * memory (nothing ran, the caller falls back the same way).
  */
 
 #include <stdint.h>
@@ -69,8 +69,10 @@ static int64_t RF_BANKS, RF_BANK_RP, RF_BANK_WP;
 static int64_t MAX_IDENT, FU_MAX;
 static int64_t FU_N[6];
 
-/* The per-instruction helpers stay inline: with every feature's code in
- * one translation unit, gcc -O2 would otherwise call them out of line. */
+/* The per-instruction helpers are forced inline: with every feature's
+ * code in one translation unit, gcc -O2 called them out of line, and the
+ * artifact is built at -O1 (repro.uarch.native.CFLAGS), which inlines
+ * only what it is told to or what is called once. */
 #if defined(__GNUC__)
 #define HOT static inline __attribute__((always_inline))
 #else
@@ -964,9 +966,36 @@ static int setup(int64_t n, const int64_t *prm)
     return 0;
 }
 
+/* ---- functional warm-up --------------------------------------------- */
+
+/* The skipped prefix, before the timed window: each entry with a nonzero
+ * address installs its line (Cache.warm_address) and each branch trains
+ * its counter (BranchHistoryTable.update); nothing is timed or counted. */
+static void warm_up(int64_t skip, const int64_t *pc, const int8_t *op,
+                    const int64_t *addr, const int8_t *taken)
+{
+    int64_t i;
+    for (i = 0; i < skip; i++) {
+        if (addr[i]) {
+            int64_t line = addr[i] / LINE_BYTES;
+            c_tags[line % NUM_LINES] = line;
+        }
+        if (OP_BR[op[i]]) {
+            int64_t bidx = (pc[i] >> 2) & BHT_MASK;
+            int8_t ctr = bht[bidx];
+            if (taken[i]) {
+                if (ctr < 3)
+                    bht[bidx] = ctr + 1;
+            } else if (ctr > 0) {
+                bht[bidx] = ctr - 1;
+            }
+        }
+    }
+}
+
 /* ---- the run loop --------------------------------------------------- */
 
-int64_t repro_run(int64_t n, const int64_t *params,
+int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                   const int64_t *rec_pc, const int8_t *rec_op,
                   const int16_t *rec_dest, const int16_t *rec_src1,
                   const int16_t *rec_src2, const int64_t *rec_addr,
@@ -986,13 +1015,13 @@ int64_t repro_run(int64_t n, const int64_t *params,
     int64_t deadlock_head = -1;
     int64_t rc;
 
-    r_pc = rec_pc;
-    r_op = rec_op;
-    r_dest = rec_dest;
-    r_src1 = rec_src1;
-    r_src2 = rec_src2;
-    r_addr = rec_addr;
-    r_taken = rec_taken;
+    r_pc = rec_pc + skip;
+    r_op = rec_op + skip;
+    r_dest = rec_dest + skip;
+    r_src1 = rec_src1 + skip;
+    r_src2 = rec_src2 + skip;
+    r_addr = rec_addr + skip;
+    r_taken = rec_taken + skip;
     c_tags = cache_tags_io;
     bht = bht_io;
 
@@ -1001,6 +1030,7 @@ int64_t repro_run(int64_t n, const int64_t *params,
         free_all();
         return rc;
     }
+    warm_up(skip, rec_pc, rec_op, rec_addr, rec_taken);
 
     while (!(exhausted && !fb_n && !rob_n)) {
         /* ---- write-back: completion events -------------------------- */

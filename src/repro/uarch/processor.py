@@ -187,6 +187,8 @@ class Processor:
                 "a Processor instance runs once; create a fresh one "
                 "(its caches, predictor, and rename state are warm)"
             )
+        if skip < 0:
+            raise ValueError(f"skip must be non-negative, got {skip}")
         self._ran = True
         self._exhausted = False
         self.engine_used = "interp"
@@ -237,9 +239,9 @@ class Processor:
     def _run_native(self, native, trace, max_instructions, skip):
         """Run records ``[skip, skip + max_instructions)`` on the native
         tier, reading ``trace`` as columns (any other trace is converted
-        into uncached ones).  Returns ``None`` when the run finished
-        natively, else the record stream the interpreter goes on with,
-        warm-up done."""
+        into uncached ones); the C loop does the warm-up.  Returns
+        ``None`` when the run finished natively, else the record stream
+        the interpreter goes on with, warm-up done."""
         columns = trace
         if not isinstance(trace, TraceColumns):
             records = list(itertools.islice(iter(trace),
@@ -248,16 +250,17 @@ class Processor:
                 columns = TraceColumns.of(records)
             except OverflowError:
                 native._note_failure("column-overflow")
-                stream = iter(records)
-                self._warm_up(stream, skip)
-                return stream
-        self._warm_columns(columns, skip)
-        n = max(0, min(max_instructions, len(columns) - skip))
-        self.engine_used = "native"
-        if native.execute(self, columns, skip, n):
-            return None
-        self.engine_used = "interp"
-        return itertools.islice(columns.records(skip + n), skip, None)
+                columns = None
+        if columns is not None:
+            n = max(0, min(max_instructions, len(columns) - skip))
+            self.engine_used = "native"
+            if native.execute(self, columns, skip, n):
+                return None
+            self.engine_used = "interp"
+            records = columns.records(skip + n)
+        stream = iter(records)
+        self._warm_up(stream, skip)
+        return stream
 
     # -- warm-up ------------------------------------------------------------
 
@@ -270,21 +273,6 @@ class Processor:
                 warm(rec.addr)
             if rec.op is branch:
                 bht_update(rec.pc, rec.taken)
-
-    def _warm_columns(self, columns, skip):
-        """:meth:`_warm_up` over the first ``skip`` entries of columns
-        (the cache and the predictor are independent, so each is warmed
-        in its own pass)."""
-        warm = self.mem.cache.warm_address
-        for addr in filter(None, itertools.islice(columns.addr, skip)):
-            warm(addr)
-        bht_update = self.bht.update
-        branch = OpClass.BRANCH
-        for pc, op, taken in zip(columns.pc, itertools.islice(columns.op,
-                                                              skip),
-                                 columns.taken):
-            if op == branch:
-                bht_update(pc, taken)
 
     # -- the per-cycle hot loop ----------------------------------------------
 

@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,49 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "native: UNAVAILABLE (no C toolchain" in out
         assert "engine=native falls back to interp" in out
+        assert main(["engines", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)["native"]
+        assert (report["available"], report["artifact_on_disk"]) == (
+            False, False)
+        native.clear_cache()
+        assert main(["engines", "--prebuild"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "repro engines --prebuild: no native artifact "
+                "(no-toolchain)\n")
+        native.clear_cache()
+
+    @needs_toolchain
+    def test_prebuilt_artifact_runs_without_a_toolchain(
+            self, capsys, monkeypatch, tmp_path):
+        """``--prebuild`` builds the one artifact, then finds it on disk
+        or in memory; with it on disk and no toolchain, the tier is
+        available and a native run does not fall back."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        native.clear_cache()
+        assert main(["engines", "--prebuild"]) == 0
+        outcome, path = capsys.readouterr().out.split()
+        assert outcome == "built" and Path(path).is_file()
+        assert main(["cache", "stats", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["native"][
+            "artifacts"] == 1
+        native.clear_cache()  # what a fresh process sees
+        assert main(["engines", "--prebuild"]) == 0
+        assert capsys.readouterr().out.split() == ["disk", path]
+        assert main(["engines", "--prebuild"]) == 0
+        assert capsys.readouterr().out.split() == ["memory", path]
+        native.clear_cache()
+        monkeypatch.setenv("REPRO_CC", "/nonexistent-cc")
+        monkeypatch.setattr(native, "_toolchain", native._TOOLCHAIN_UNSET)
+        assert main(["engines"]) == 0
+        assert "native: available (artifact on disk" in \
+            capsys.readouterr().out
+        assert native.toolchain() is None
+        assert main(["run", "go", "-n", "300", "--skip", "50",
+                     "--engine", "native", "--no-cache", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["engine_fallbacks"] == 0
+        native.clear_cache()
 
     @needs_toolchain
     def test_bench_engine_all_measures_interp_then_native(

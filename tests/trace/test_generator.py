@@ -1,6 +1,8 @@
 """Synthetic trace generator tests."""
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.trace.program import (
     Store,
     Workload,
 )
-from repro.trace.workloads import load_workload
+from repro.trace.workloads import WORKLOADS, load_workload
 
 
 def simple_workload(iterations=3, p_taken=0.0, skip=0):
@@ -168,8 +170,10 @@ class TestTraceColumns:
         # Iterating yields genuine records (what a fallback runs).
         assert [repr(rec) for rec in cols] == [repr(rec) for rec in recs]
 
-    def test_prefix_extends_in_place_without_regenerating(self,
-                                                          monkeypatch):
+    def test_a_longer_prefix_is_a_new_entry(self, monkeypatch):
+        """A held prefix serves shorter requests without regenerating; a
+        longer request builds a new entry from the start and leaves the
+        previously returned columns unchanged."""
         visits = []
         run_kernel = SyntheticTrace._run_kernel
 
@@ -184,12 +188,15 @@ class TestTraceColumns:
         assert built and len(cols) == 500
         assert trace_columns(wl, 1, 300) is cols  # a held prefix
         assert len(visits) == built
-        assert trace_columns(wl, 1, 5_000) is cols
-        assert len(cols) == 5_000 and len(visits) > built
-        extended = len(visits)
-        assert trace_columns(wl, 1, 5_000) is cols
-        assert len(visits) == extended
-        assert list(cols.addr) == [
+        before = [list(column) for column in cols.arrays()]
+        longer = trace_columns(wl, 1, 5_000)
+        assert longer is not cols and len(longer) == 5_000
+        assert [list(column) for column in cols.arrays()] == before
+        assert self._keys() == [("go", 1)]
+        rebuilt = len(visits)
+        assert trace_columns(wl, 1, 5_000) is longer
+        assert len(visits) == rebuilt
+        assert list(longer.addr) == [
             rec.addr for rec in SyntheticTrace(wl, 1).take(5_000)]
 
     def test_lru_is_bounded_by_bytes_and_keeps_the_newest(self,
@@ -248,10 +255,23 @@ class TestTraceColumns:
         assert cols.has_bad_store(first + 1, second + 1)
         assert not cols.has_bad_store(second + 1, len(recs))
 
-    def test_a_pinned_column_grows_a_copy(self):
-        cols = TraceColumns.of(SyntheticTrace(simple_workload(), 1).take(10))
-        old = cols.pc
-        with memoryview(old):
-            cols._append(SyntheticTrace(simple_workload(), 2).take(5))
-        assert len(old) == 10 and len(cols.pc) == 15
-        assert list(cols.pc[:10]) == list(old)
+    def test_the_byte_budget_bounds_what_the_cache_holds(self,
+                                                         monkeypatch):
+        """An entry holds its columns and nothing else (no generator,
+        pattern state or unfinished kernel visit), so the memory the
+        cache keeps stays near its byte budget: 200 fresh seeds of nine
+        workloads, gateway-sized requests, a 2 MB budget."""
+        budget = 2 << 20
+        monkeypatch.setattr(generator, "COLUMN_CACHE_BYTES", budget)
+        workloads = [load_workload(name) for name in WORKLOADS]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for seed in range(200):
+                trace_columns(workloads[seed % len(workloads)], seed, 1_500)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * budget, f"{held / 2**20:.1f} MB held"

@@ -17,6 +17,8 @@ the interpreter's.  This suite checks the contract three ways:
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -361,6 +363,82 @@ def test_each_fallback_lands_on_interp_counted_once(case, monkeypatch):
     native.clear_cache()
 
 
+@needs_toolchain
+@pytest.mark.parametrize("case", sorted(FALLBACKS) + ["native-alloc"])
+def test_every_fallback_warms_the_interpreter_once(case, monkeypatch):
+    """The C loop warms only its own copies of the cache tags and the
+    predictor, so whatever makes a native request miss — a refusal
+    before the call, rc 2, or rc 3 (a table too large to allocate) —
+    the interpreter warms its cache and predictor from records exactly
+    once before it runs the point."""
+    config, overrides, state, patch, reason = FALLBACKS.get(case) or (
+        ProcessorConfig(), {}, {},
+        {"_param_block": _patched_param_block(ROB_SIZE=1 << 58)},
+        "native-alloc")
+    for name, value in patch.items():
+        monkeypatch.setattr(native, name, value)
+    warmed = []
+    warm_up = Processor._warm_up
+
+    def counting_warm_up(self, stream, skip):
+        warmed.append(skip)
+        return warm_up(self, stream, skip)
+
+    monkeypatch.setattr(Processor, "_warm_up", counting_warm_up)
+
+    def run(engine):
+        processor = Processor(config, engine=engine)
+        vars(processor).update(state)
+        result = processor.run(_trace(n=1_700), **{
+            "max_instructions": 1_500, "skip": 200, **overrides})
+        return processor, result.stats.to_dict()
+
+    _, expected = run("interp")
+    native.clear_cache()
+    warmed.clear()
+    processor, stats = run("native")
+    assert processor.engine_used == "interp"
+    assert native.cache_info()["build_failures"] == {reason: 1}
+    assert warmed == [200]
+    assert stats == dict(expected, engine_fallbacks=1)
+    native.clear_cache()
+
+
+@needs_toolchain
+@pytest.mark.parametrize("workload", ["li", "swim"])
+def test_native_warm_up_matches_the_interpreters(workload):
+    """``repro_run`` warms the cache tags and the predictor over the
+    first ``skip`` entries itself, skipping entries with address 0 as
+    ``Cache.warm_address``'s caller does: after a run both equal the
+    interpreter's, also when the run window is one instruction."""
+    records = materialized_trace(load_workload(workload), 1234, 5_000)
+    zeroed = [i for i, rec in enumerate(records[:3_000])
+              if rec.op in (OpClass.LOAD_INT, OpClass.LOAD_FP)][::3]
+    assert zeroed
+    records = list(records)
+    for i in zeroed:
+        rec = records[i]
+        records[i] = TraceRecord.trusted(rec.pc, rec.op, dest=rec.dest,
+                                         src1=rec.src1, addr=0)
+    for n, skip in ((1, 3_000), (2_000, 3_000)):
+        states = []
+        for engine in ("interp", "native"):
+            processor = Processor(ProcessorConfig(), engine=engine)
+            stats = processor.run(iter(records), max_instructions=n,
+                                  skip=skip).stats.to_dict()
+            assert processor.engine_used == engine
+            states.append((list(processor.mem.cache._tags),
+                           list(processor.bht._counters), stats))
+        assert states[0] == states[1]
+
+
+def test_a_negative_skip_is_refused_on_every_tier():
+    for engine in ("interp", "native"):
+        with pytest.raises(ValueError, match="skip must be non-negative"):
+            Processor(engine=engine).run(_trace(n=100),
+                                         max_instructions=50, skip=-1)
+
+
 def _without_store_source(records, indices):
     """``records`` with the stores at ``indices`` missing their value
     source (a shape the C loop cannot model)."""
@@ -671,6 +749,70 @@ def test_artifact_on_disk_needs_no_toolchain_probe(tmp_path, monkeypatch):
     native.clear_cache()
     assert 'repro_native_artifacts_total{outcome="memory"}' \
         in get_registry().render()
+
+
+def test_compiler_flags_are_part_of_the_artifact_identity(tmp_path,
+                                                          monkeypatch):
+    """An artifact built with other flags has another name, so ``repro
+    cache stats`` counts it stale and ``repro cache compact`` prunes
+    it."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    named = (native.template_fingerprint, native._artifact_key,
+             native._artifact_name)
+    current, flags = native._artifact_name(), native.CFLAGS
+    native.CFLAGS = ("-O2", "-shared", "-fPIC")
+    for cached in named:
+        cached.cache_clear()
+    try:
+        other = native._artifact_name()
+    finally:
+        native.CFLAGS = flags
+        for cached in named:
+            cached.cache_clear()
+    assert native._artifact_name() == current
+    assert other.split("-")[1] != current.split("-")[1]
+    directory = native.artifact_dir()
+    directory.mkdir(parents=True)
+    (directory / other).write_bytes(b"-O2")
+    (directory / current).write_bytes(b"-O1")
+    stats = native.artifact_stats()
+    assert (stats["artifacts"], stats["stale_artifacts"]) == (2, 1)
+    assert native.prune_stale() == (1, 3)
+    assert [path.name for path in directory.glob("engine-*.so")] == [
+        current]
+
+
+@needs_toolchain
+def test_builds_and_the_probe_compile_with_cflags(tmp_path, monkeypatch):
+    """One flag tuple for the probe and the build, and the per-record
+    helpers stay inline at it (``nm`` lists no symbol for them)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cc = native.toolchain()
+    commands = []
+    real_run = subprocess.run
+
+    def recording_run(argv, **kwargs):
+        commands.append(argv)
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "run", recording_run)
+    native.clear_cache()
+    assert native._try_compiler(cc)
+    lib, reason = native.build_library(Processor())
+    assert reason is None
+    native.clear_cache()
+    assert [argv[1:1 + len(native.CFLAGS)] for argv in commands] == [
+        list(native.CFLAGS)] * 2
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("nm not found")
+    symbols = real_run([nm, str(native.artifact_dir()
+                                / native._artifact_name())],
+                       capture_output=True, text=True, check=True)
+    names = {line.split()[-1] for line in symbols.stdout.splitlines()}
+    assert "repro_run" in names
+    assert not names & {"pool_alloc", "pool_release", "try_load",
+                        "vp_try_alloc"}
 
 
 @needs_toolchain

@@ -6,8 +6,9 @@ window shapes × FU mixes × predictor/idle/retry toggles — see
 :mod:`repro.uarch.enginediff`), runs every sampled config on every
 workload under the interpreter and the native tier, and fails if any
 point is not **bit-identical** or silently fell back to the
-interpreter.  The native tier needs a C toolchain (see
-``tools/native_probe.py``); without one the tool exits 1.
+interpreter.  The native tier needs its artifact on disk or a C
+toolchain to build it (see ``tools/native_probe.py``); without either
+the tool exits 1.
 
 Failing points are shrunk to a 1-minimal reproducer (every axis reset
 to its default that still fails) and written to the ``--report`` JSON —
@@ -29,7 +30,7 @@ import sys
 import time
 
 from repro.uarch.enginediff import DIFF_WORKLOADS, run_sample
-from repro.uarch.native import toolchain
+from repro.uarch import native
 
 
 def main(argv=None):
@@ -52,10 +53,10 @@ def main(argv=None):
 
     workloads = tuple(w.strip() for w in args.workloads.split(",")
                       if w.strip())
-    if toolchain() is None:
-        print("engine-diff: no C toolchain found — the native tier "
-              "cannot be diffed on this host (set REPRO_CC or install "
-              "cc/gcc/clang)", file=sys.stderr)
+    if not native.probe()["available"]:
+        print("engine-diff: no native artifact and no C toolchain — the "
+              "native tier cannot be diffed on this host (set REPRO_CC "
+              "or install cc/gcc/clang)", file=sys.stderr)
         return 1
 
     def progress(done, total):

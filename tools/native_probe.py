@@ -2,6 +2,7 @@
 """Probe the native cycle-engine tier's host requirements.
 
 Checks everything ``engine=native`` needs before a run can use it:
+the current artifact already on disk, or else both of
 
 * a working C compiler (``$REPRO_CC`` if set, else ``cc``/``gcc``/
   ``clang`` — *probe-compiled*, not just found on ``PATH``);
@@ -48,6 +49,8 @@ def main(argv=None):
         print(f"toolchain:     {found}")
         print(f"probe compile: {'ok' if cc else 'failed'}")
         print(f"artifact dir:  {report['cache_dir']} ({writable})")
+        print(f"artifact:      "
+              f"{'on disk' if report['artifact_on_disk'] else 'not built'}")
         print(f"template:      {report['template_fingerprint']}")
         print(f"native tier:   {tier}")
     if args.require_native and not report["available"]:
