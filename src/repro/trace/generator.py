@@ -13,29 +13,38 @@ Everything is deterministic given ``(workload, seed)``; iterating the
 same trace twice yields the identical instruction stream, which the
 equivalence tests between renaming schemes rely on.
 
-**Hot-path structure.**  Each kernel body is compiled *once* into a flat
-emit program (a list of small tuples tagged by an integer opcode), so
-emitting a dynamic instruction costs one tuple dispatch instead of an
-``isinstance`` chain per record.  Statements whose record is fully
-static (ALU/FP ops, branches — both outcomes, the induction update, the
-back edge, the glue branch) pre-build immutable prototype
-:class:`TraceRecord` objects at compile time and yield the *same* record
-object for every dynamic instance; only loads and stores, whose
-effective address varies, construct a fresh (validation-free) record
-per instance.  The RNG consumption order is identical to the original
-statement-by-statement interpretation, so streams are bit-identical.
+**Hot-path structure.**  Every static record shape of a trace (each
+statement, a branch once per outcome, the induction update, both back
+edges, one glue branch per target kernel) is interned once in a
+prototype table (:class:`_Prototypes`) and named by its index, its
+*record id*.  Each kernel body is compiled *once* into straight-line
+segments that end at a branch (:class:`_KernelProgram`); a segment is
+the byte string of its records' ids.  A kernel visit
+(:meth:`SyntheticTrace._run_kernel`) extends an id buffer one segment at
+a time and appends one address per executed memory statement to an
+address buffer, so a record costs a few bytes of a C-level copy, not a
+Python dispatch.  The RNG draws keep the order of the original
+statement-by-statement interpretation (one weighted ``choices`` per
+visit, one ``random()`` per executed body branch, one
+``next_address(rng)`` per executed memory statement), so streams are
+bit-identical to it.
 
-**Materialization.**  Registry traces are generated once per
-``(workload, seed)`` per process: the interpreter reads record lists
-(:func:`materialized_trace`), the native tier reads flat typed columns
-(:func:`trace_columns`, :class:`TraceColumns`) that its C loop takes
-by pointer, so a sweep builds no record list on that tier.
+**Materialization.**  Both tiers read that one emission.  The native
+tier's columns (:func:`trace_columns`, :class:`TraceColumns`) are
+gathered from the ids at C speed: one ``b"".join`` of the prototypes'
+16-byte rows, a strided slice per column, then the addresses are
+scattered into the memory records' slots.  The interpreter's records
+(:func:`materialized_trace`) are the shared prototype
+:class:`TraceRecord` objects plus one ``TraceRecord.trusted`` per memory
+operation.  Registry traces are generated once per ``(workload, seed)``
+per process in either form.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import struct
 import threading
 from array import array
 from bisect import bisect_left
@@ -60,75 +69,156 @@ from repro.trace.program import (
 KERNEL_PC_STRIDE = 0x1000
 BASE_PC = 0x10000
 
-# Emit-program opcodes (first element of each compiled tuple).
-_EMIT_STATIC = 0  # (op, proto_record)
-_EMIT_MEM = 1  # (op, array_name, pc, record_op, dest, src1, src2)
-_EMIT_BRANCH = 2  # (op, p_taken, skip, proto_taken, proto_not_taken)
+#: Typecode of a record id in the id buffer and the segments.
+_ID_CODE = "I"
+
+#: A prototype's row, in native byte order: int64 pc, int16 dest, src1
+#: and src2, int8 op and taken.  A run of rows holds each of these
+#: columns as a strided lane (:meth:`TraceColumns._gather`).
+_ROW = struct.Struct("=qhhhbb")
+
+
+def _id_bytes(ids):
+    return array(_ID_CODE, ids).tobytes()
+
+
+class _Prototypes:
+    """A trace's static record shapes, indexed by record id: the shared
+    :class:`TraceRecord` (address 0 for a memory operation, whose
+    instances get their own), its :data:`_ROW` bytes and its memory
+    flag as one byte."""
+
+    __slots__ = ("records", "rows", "mem", "_index")
+
+    def __init__(self):
+        self.records = []
+        self.rows = []
+        self.mem = []
+        self._index = {}
+
+    def intern(self, record):
+        key = (record.pc, record.op, record.dest, record.src1, record.src2,
+               record.taken, record.target)
+        rid = self._index.get(key)
+        if rid is None:
+            rid = self._index[key] = len(self.records)
+            self.records.append(record)
+            self.rows.append(_ROW.pack(record.pc, record.dest, record.src1,
+                                       record.src2, record.op,
+                                       record.taken))
+            self.mem.append(bytes([_IS_MEM[record.op]]))
+        return rid
 
 
 class _KernelProgram:
-    """One kernel's compiled emit program plus its loop-closing records."""
+    """One kernel compiled to straight-line segments of record ids.
 
-    __slots__ = ("body", "induction", "backedge_taken", "backedge_last",
-                 "glue", "iterations")
+    ``segments`` maps each body position a visit can reach (0, and the
+    statement after either outcome of a branch) to ``(ids, arrays,
+    branch)``: the ids of the statements up to the next branch as
+    bytes, the array names of its memory statements in order, and
+    ``None`` at the end of the body, else ``(p_taken, taken id,
+    not-taken id, taken position, not-taken position)``.  ``loop`` is
+    the induction update plus the taken back edge, the ids every
+    iteration ends with (:meth:`bind` appends them to each segment that
+    ends the body); a visit's last back edge is ``last_backedge``.
+    """
 
-    def __init__(self, kernel, binding, base, kernel_bases):
-        body_len = len(kernel.body)
-        ind_pc = base + 4 * body_len
-        backedge_pc = ind_pc + 4
-        glue_pc = backedge_pc + 4
+    __slots__ = ("segments", "loop", "last_backedge", "glue", "iterations")
+
+    def __init__(self, kernel, binding, base, kernel_bases, table):
+        body = kernel.body
+        ind_pc = base + 4 * len(body)
         ind_reg = binding[INDUCTION]
         self.iterations = kernel.iterations
-        self.body = [
-            self._compile_stmt(stmt, base + 4 * pos, binding)
-            for pos, stmt in enumerate(kernel.body)
-        ]
-        self.induction = TraceRecord(ind_pc, OpClass.INT_ALU, dest=ind_reg,
-                                     src1=ind_reg)
-        self.backedge_taken = TraceRecord(backedge_pc, OpClass.BRANCH,
-                                          src1=ind_reg, taken=True, target=base)
-        self.backedge_last = TraceRecord(backedge_pc, OpClass.BRANCH,
-                                         src1=ind_reg, taken=False, target=base)
+        compiled = [self._compile_stmt(stmt, base + 4 * pos, binding, table)
+                    for pos, stmt in enumerate(body)]
+        self.segments = {}
+        todo = [0]
+        while todo:
+            start = todo.pop()
+            if start in self.segments:
+                continue
+            ids, arrays, pos = [], [], start
+            while pos < len(body) and not isinstance(body[pos], CondBranch):
+                rid, name = compiled[pos]
+                ids.append(rid)
+                if name is not None:
+                    arrays.append(name)
+                pos += 1
+            branch = None
+            if pos < len(body):
+                taken, not_taken = compiled[pos]
+                branch = (body[pos].p_taken, taken, not_taken,
+                          pos + 1 + body[pos].skip, pos + 1)
+                todo += branch[3:]
+            self.segments[start] = (_id_bytes(ids), tuple(arrays), branch)
+        self.loop = _id_bytes([
+            table.intern(TraceRecord(ind_pc, OpClass.INT_ALU, dest=ind_reg,
+                                     src1=ind_reg)),
+            table.intern(TraceRecord(ind_pc + 4, OpClass.BRANCH,
+                                     src1=ind_reg, taken=True, target=base)),
+        ])
+        self.last_backedge = table.intern(TraceRecord(
+            ind_pc + 4, OpClass.BRANCH, src1=ind_reg, taken=False,
+            target=base))
         self.glue = [
-            TraceRecord(glue_pc, OpClass.BRANCH, src1=ind_reg, taken=True,
-                        target=target_base)
+            table.intern(TraceRecord(ind_pc + 8, OpClass.BRANCH,
+                                     src1=ind_reg, taken=True,
+                                     target=target_base))
             for target_base in kernel_bases
         ]
 
     @staticmethod
-    def _compile_stmt(stmt, pc, binding):
+    def _compile_stmt(stmt, pc, binding, table):
+        """``(record id, array name or None)``; a branch's two ids."""
         if isinstance(stmt, Load):
             op = OpClass.LOAD_FP if stmt.fp else OpClass.LOAD_INT
-            # Validate the static shape once, through the checked
-            # constructor; dynamic instances go through the trusted one.
-            TraceRecord(pc, op, dest=binding[stmt.dst],
-                        src1=binding[stmt.base], addr=0)
-            return (_EMIT_MEM, stmt.array, pc, op, binding[stmt.dst],
-                    binding[stmt.base], NO_REG)
+            # The checked constructor validates the static shape once;
+            # every dynamic instance shares it.
+            return table.intern(TraceRecord(pc, op, dest=binding[stmt.dst],
+                                            src1=binding[stmt.base],
+                                            addr=0)), stmt.array
         if isinstance(stmt, Store):
             op = OpClass.STORE_FP if stmt.fp else OpClass.STORE_INT
-            TraceRecord(pc, op, src1=binding[stmt.base],
-                        src2=binding[stmt.value], addr=0)
-            return (_EMIT_MEM, stmt.array, pc, op, NO_REG,
-                    binding[stmt.base], binding[stmt.value])
+            return table.intern(TraceRecord(pc, op, src1=binding[stmt.base],
+                                            src2=binding[stmt.value],
+                                            addr=0)), stmt.array
         if isinstance(stmt, (IntOp, FpOp)):
             srcs = stmt.srcs
             src1 = binding[srcs[0]]
             src2 = binding[srcs[1]] if len(srcs) > 1 else NO_REG
-            proto = TraceRecord(pc, stmt.kind, dest=binding[stmt.dst],
-                                src1=src1, src2=src2)
-            return (_EMIT_STATIC, proto)
+            return table.intern(TraceRecord(pc, stmt.kind,
+                                            dest=binding[stmt.dst],
+                                            src1=src1, src2=src2)), None
         if isinstance(stmt, CondBranch):
             target = pc + 4 + 4 * stmt.skip
             src = binding[stmt.src]
-            return (
-                _EMIT_BRANCH, stmt.p_taken, stmt.skip,
-                TraceRecord(pc, OpClass.BRANCH, src1=src, taken=True,
-                            target=target),
-                TraceRecord(pc, OpClass.BRANCH, src1=src, taken=False,
-                            target=target),
-            )
+            return tuple(
+                table.intern(TraceRecord(pc, OpClass.BRANCH, src1=src,
+                                         taken=taken, target=target))
+                for taken in (True, False))
         raise TypeError(f"unknown statement: {stmt!r}")
+
+    def bind(self, patterns):
+        """The first segment, with every segment linked for one
+        generator: ``(ids, next_address functions of its memory
+        statements on ``patterns``, p_taken, taken id, not-taken id,
+        taken segment, not-taken segment)``, or ``(ids, functions,
+        None)`` at the end of the body, where ``ids`` also closes the
+        iteration.  Branches only jump forward, so linking from the last
+        position back resolves every successor."""
+        bound = {}
+        for start in sorted(self.segments, reverse=True):
+            ids, names, branch = self.segments[start]
+            calls = tuple(patterns[name].next_address for name in names)
+            if branch is None:
+                bound[start] = (ids + self.loop, calls, None)
+            else:
+                p_taken, taken, not_taken, taken_pos, not_taken_pos = branch
+                bound[start] = (ids, calls, p_taken, taken, not_taken,
+                                bound[taken_pos], bound[not_taken_pos])
+        return bound[0]
 
 
 # Trace streams are deterministic per (workload, seed), so repeated
@@ -152,7 +242,6 @@ _MATERIALIZED_MAX = 4
 _COLUMN_CACHE: OrderedDict = OrderedDict()
 #: Byte budget of the column LRU; the newest entry always stays.
 COLUMN_CACHE_BYTES = 32 << 20
-_COLUMN_CHUNK = 1 << 15  # records generated per column append
 _COLUMN_LOCK = threading.Lock()
 
 #: The native tier's trace layout: ``(record field, array typecode)`` in
@@ -163,6 +252,10 @@ COLUMNS = (("pc", "q"), ("op", "b"), ("dest", "h"), ("src1", "h"),
 RECORD_BYTES = sum(array(code).itemsize for _, code in COLUMNS)
 
 _IS_STORE = bytes(int(decode[2]) for decode in OP_DECODE)
+#: 1 for every opcode that carries an address (a ``bytes.translate``
+#: table over the op column).
+_IS_MEM = bytes(int(decode[1] or decode[2]) for decode in OP_DECODE).ljust(
+    256, b"\0")
 
 
 def materialized_trace(workload, seed, count):
@@ -195,7 +288,8 @@ def trace_columns(workload, seed, count):
     least ``count`` records (a longer prefix when one is held).
 
     The native tier's counterpart of :func:`materialized_trace`, with
-    the same registry-workload contract, served from the column LRU.
+    the same registry-workload contract, served from the column LRU and
+    built by :meth:`SyntheticTrace.columns`.
     A request longer than the held prefix builds a new entry from the
     start and replaces the old one, which callers may still hold
     unchanged.  Raises ``OverflowError`` (and caches nothing) when a
@@ -207,11 +301,7 @@ def trace_columns(workload, seed, count):
         if columns is not None and len(columns) >= count:
             _COLUMN_CACHE.move_to_end(key)
             return columns
-        columns = TraceColumns(workload, seed)
-        stream = iter(SyntheticTrace(workload, seed))
-        while len(columns) < count:
-            columns._append(list(itertools.islice(
-                stream, min(count - len(columns), _COLUMN_CHUNK))))
+        columns = SyntheticTrace(workload, seed).columns(count)
         _COLUMN_CACHE[key] = columns
         _COLUMN_CACHE.move_to_end(key)
         held = sum(cols.nbytes for cols in _COLUMN_CACHE.values())
@@ -231,10 +321,13 @@ class TraceColumns:
     """A trace prefix as flat typed columns, the native tier's input.
 
     One ``array`` per field of :data:`COLUMNS`; index ``i`` of every
-    column is record ``i``.  ``bad_stores`` lists every index whose
-    record is a store missing a source, which the C loop cannot model
-    (the interpreter crashes on it), so any run window can be checked
-    exactly (:meth:`has_bad_store`).
+    column is record ``i``.  Two facts the C loop cannot model are
+    recorded as the columns are built: ``bad_stores`` lists every index
+    whose record is a store missing a source (the interpreter crashes
+    on it), so any run window can be checked exactly
+    (:meth:`has_bad_store`); ``min_addr`` is the smallest address, or 0
+    when none is negative (the C loop indexes its cache tags with C's
+    signed remainder, so a negative address must not reach it).
 
     A ``TraceColumns`` is also a trace: iterating it yields genuine
     :class:`TraceRecord` objects — the source list of :meth:`of`, or
@@ -243,13 +336,14 @@ class TraceColumns:
     runs.
     """
 
-    __slots__ = (*(name for name, _ in COLUMNS), "bad_stores", "workload",
-                 "seed", "_records")
+    __slots__ = (*(name for name, _ in COLUMNS), "bad_stores", "min_addr",
+                 "workload", "seed", "_records")
 
     def __init__(self, workload=None, seed=None, records=None):
         for name, code in COLUMNS:
             setattr(self, name, array(code))
         self.bad_stores = []
+        self.min_addr = 0
         self.workload = workload
         self.seed = seed
         self._records = records
@@ -297,11 +391,49 @@ class TraceColumns:
                  for name, code in COLUMNS]
         for (name, _), tail in zip(COLUMNS, tails):
             getattr(self, name).extend(tail)
-        _, op, _, src1, src2, _, _ = tails
+        _, op, _, src1, src2, addr, _ = tails
         self.bad_stores.extend(
             start + i for i in itertools.compress(
                 range(len(op)), map(_IS_STORE.__getitem__, op))
             if src1[i] < 0 or src2[i] < 0)
+        self.min_addr = min(self.min_addr, min(addr, default=0))
+
+    @classmethod
+    def _gather(cls, table, ids, addrs, workload, seed):
+        """The columns of the records ``ids`` name in ``table`` (a
+        :class:`_Prototypes`), the memory records taking ``addrs`` in
+        order (``OverflowError`` when an address does not fit int64).
+
+        Each static column is a strided lane of the joined rows, copied
+        at C speed whatever the number of distinct ids; the addresses
+        are scattered into the memory records' slots.
+        """
+        columns = cls(workload, seed)
+        rows = b"".join(map(table.rows.__getitem__, ids))
+        count = len(ids)
+        words = memoryview(rows).cast("q")  # 2 per row: pc, the rest
+        halves = memoryview(rows).cast("h")  # 8 per row
+        columns.pc = array("q", words[0::2].tobytes())
+        columns.dest = array("h", halves[4::8].tobytes())
+        columns.src1 = array("h", halves[5::8].tobytes())
+        columns.src2 = array("h", halves[6::8].tobytes())
+        op = rows[14::16]
+        columns.op = array("b", op)
+        columns.taken = array("b", rows[15::16])
+        mem = op.translate(_IS_MEM)
+        used = addrs[:mem.count(1)]
+        columns.addr = addr = array("q", bytes(8 * count))
+        for i, value in zip(itertools.compress(range(count), mem), used):
+            addr[i] = value
+        columns.min_addr = min(0, min(used, default=0))
+        # A store missing a source is a shape of the table, not of the
+        # emission: look for its ids only when the table has one.
+        bad = {rid for rid, rec in enumerate(table.records)
+               if _IS_STORE[rec.op] and (rec.src1 < 0 or rec.src2 < 0)}
+        if bad:
+            columns.bad_stores = [i for i, rid in enumerate(ids)
+                                  if rid in bad]
+        return columns
 
 
 class SyntheticTrace:
@@ -321,82 +453,100 @@ class SyntheticTrace:
             static_len = len(kernel.body) + 3  # + induction, back-edge, glue
             if static_len * 4 > KERNEL_PC_STRIDE:
                 raise ValueError(f"kernel {kernel.name!r} too large for PC region")
+        self._table = _Prototypes()
         self._programs = [
-            _KernelProgram(kernel, binding, base, self._bases)
+            _KernelProgram(kernel, binding, base, self._bases, self._table)
             for kernel, binding, base
             in zip(workload.kernels, self._bindings, self._bases)
         ]
 
     def __iter__(self):
-        return self._generate()
+        # Records cross a C-level chain, one Python resume per visit.
+        return itertools.chain.from_iterable(self._record_visits())
 
     def take(self, n):
         """Materialize the first ``n`` records as a list."""
         return list(itertools.islice(iter(self), n))
 
+    def columns(self, count):
+        """The first ``count`` records as :class:`TraceColumns`, gathered
+        from the emission without building a record."""
+        ids, addrs = array(_ID_CODE), []
+        visits = self._visits(ids, addrs)
+        while len(ids) < count:
+            next(visits)
+        del ids[count:]
+        return TraceColumns._gather(self._table, ids, addrs, self.workload,
+                                    self.seed)
+
     # -- internals ---------------------------------------------------------
 
-    def _generate(self):
+    def _record_visits(self):
+        """The records of one kernel visit at a time: the shared
+        prototypes, and a fresh (validation-free) record per memory
+        operation."""
+        protos = self._table.records
+        mem = self._table.mem
+        trusted = TraceRecord.trusted
+        ids, addrs = array(_ID_CODE), []
+        for _ in self._visits(ids, addrs):
+            records = list(map(protos.__getitem__, ids))
+            slots = itertools.compress(range(len(records)),
+                                       b"".join(map(mem.__getitem__, ids)))
+            for i, addr in zip(slots, addrs):
+                rec = records[i]
+                records[i] = trusted(rec.pc, rec.op, rec.dest, rec.src1,
+                                     rec.src2, addr)
+            del ids[:]
+            addrs.clear()
+            yield records
+
+    def _visits(self, ids, addrs):
+        """Emit kernel visits into ``ids`` and ``addrs`` forever,
+        yielding after each (:meth:`_run_kernel`)."""
         rng = Random(self.seed)
         kernels = self.workload.kernels
         # Private pattern state per generator so that concurrent iterations
         # of one workload cannot interfere.
-        arrays = [copy.deepcopy(k.arrays) for k in kernels]
+        firsts = [program.bind(copy.deepcopy(kernel.arrays))
+                  for program, kernel in zip(self._programs, kernels)]
+        population = range(len(kernels))
         weights = [k.weight for k in kernels]
-        current = rng.choices(range(len(kernels)), weights)[0]
+        current = rng.choices(population, weights)[0]
         while True:
-            nxt = rng.choices(range(len(kernels)), weights)[0]
-            # One kernel visit is materialized eagerly and re-yielded at
-            # C speed: the consumer crosses a single generator frame per
-            # record instead of two.  The RNG draw order is unchanged
-            # (nothing interleaves with a visit), so streams stay
-            # bit-identical to lazy emission.
-            yield from self._run_kernel(current, nxt, arrays[current], rng)
+            nxt = rng.choices(population, weights)[0]
+            self._run_kernel(current, nxt, firsts[current], rng, ids, addrs)
+            yield
             current = nxt
 
-    def _run_kernel(self, idx, next_idx, arrays, rng):
-        """All records of one kernel visit, in emission order (a list)."""
+    def _run_kernel(self, idx, next_idx, first, rng, ids, addrs):
+        """One visit of kernel ``idx``, entered at its bound segment
+        ``first`` (:meth:`_KernelProgram.bind`): its record ids onto
+        ``ids``, the address of each memory statement it runs onto
+        ``addrs``, ending in the glue branch to kernel ``next_idx``.
+        perfbench's tracer wraps this method to count kernel visits, so
+        it keeps its name and stays one call per visit."""
         program = self._programs[idx]
-        body = program.body
-        body_len = len(body)
-        trusted = TraceRecord.trusted
+        extend = ids.frombytes
+        append = ids.append
+        address = addrs.append
         random = rng.random
-        induction = program.induction
-        backedge_taken = program.backedge_taken
-        last_iteration = program.iterations - 1
-        out = []
-        emit = out.append
-
-        for it in range(program.iterations):
-            pos = 0
-            while pos < body_len:
-                entry = body[pos]
-                kind = entry[0]
-                if kind == _EMIT_STATIC:
-                    emit(entry[1])
-                    pos += 1
-                elif kind == _EMIT_MEM:
-                    _, array, pc, op, dest, src1, src2 = entry
-                    addr = arrays[array].next_address(rng)
-                    emit(trusted(pc, op, dest, src1, src2, addr))
-                    pos += 1
-                else:  # _EMIT_BRANCH
-                    taken = random() < entry[1]
-                    if taken:
-                        emit(entry[3])
-                        pos += 1 + entry[2]
-                    else:
-                        emit(entry[4])
-                        pos += 1
-
-            # Induction update and loop back-edge.
-            emit(induction)
-            emit(backedge_taken if it != last_iteration
-                 else program.backedge_last)
-
-        # Glue branch into the next kernel (always taken).
-        emit(program.glue[next_idx])
-        return out
+        for _ in range(program.iterations):
+            seg = first
+            while True:
+                extend(seg[0])
+                for next_address in seg[1]:
+                    address(next_address(rng))
+                if seg[2] is None:
+                    break
+                if random() < seg[2]:
+                    append(seg[3])
+                    seg = seg[5]
+                else:
+                    append(seg[4])
+                    seg = seg[6]
+        ids[-1] = program.last_backedge
+        append(program.glue[next_idx])
 
 
 def take(trace, n):

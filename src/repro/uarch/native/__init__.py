@@ -40,8 +40,8 @@ cross-process ``flock`` serializes concurrent builds of the artifact.
 Everything degrades loudly but gracefully: no toolchain (when the
 artifact is not on disk yet), a failed compile, a processor the C loop
 cannot lower, or a trace shape it does not model (a store missing a
-source in the run window, a value too wide for its column) falls back
-to the interpreter, with the reason recorded
+source in the run window, a negative address, a value too wide for its
+column) falls back to the interpreter, with the reason recorded
 in :data:`build_failures` and the fallback counted in
 ``SimStats.engine_fallbacks``; the C loop warms only its own copies of
 the cache tags and the predictor, so the interpreter warms its own from
@@ -638,6 +638,11 @@ def execute(processor, columns, skip, n):
         # A store's value tag is src_tags[1]; the interpreter crashes on
         # a store missing a source, the C loop cannot.
         _note_failure("store-missing-src")
+        return False
+    if columns.min_addr < 0:
+        # The C loop indexes its cache tags with C's signed remainder,
+        # so a negative line would land before the tag array.
+        _note_failure("negative-address")
         return False
     params = _param_block(processor, native_features(processor)[0])
     tags_arr = array("q", processor.mem.cache._tags)

@@ -65,6 +65,8 @@ static int64_t FETCH_W, RENAME_W, ISSUE_W, COMMIT_W, ROB_SIZE, IQ_SIZE,
     FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON;
 static int64_t NUM_LINES, LINE_BYTES, HIT_LAT, MISS_PEN, MSHR_N, BUS_CPL,
     CACHE_PORTS, BHT_MASK, SQ_CAP;
+/* log2(LINE_BYTES), or -1 when the line size is not a power of two. */
+static int64_t LINE_SHIFT;
 static int64_t RF_BANKS, RF_BANK_RP, RF_BANK_WP;
 static int64_t MAX_IDENT, FU_MAX;
 static int64_t FU_N[6];
@@ -89,6 +91,10 @@ static int64_t FU_N[6];
 #define FL_RES 4u
 #define FL_MISP 8u
 #define FL_MGATED 16u
+
+/* Ring index wrap.  Every index the loop forms is below twice its ring
+ * size, so one compare-and-subtract replaces a 64-bit divide. */
+#define WRAP(i, size) ((i) >= (size) ? (i) - (size) : (i))
 
 #define EV_CAP (ROB_SIZE + FB_SIZE + 16)
 #define SH_CAP (ROB_SIZE + 16)
@@ -117,7 +123,8 @@ static int32_t *rob_q, *fb_q;
 static int64_t rob_h, rob_n, fb_h, fb_n;
 
 /* event heap: (time, seq), keyed by time only; same-cycle events are
- * drained together and sorted by seq, matching events.sort(key=_seq_of) */
+ * drained together and sorted by seq (sort_i32), matching
+ * events.sort(key=_seq_of) */
 static int64_t *evt_t;
 static int32_t *evt_s;
 static int64_t ev_n;
@@ -194,10 +201,18 @@ static int64_t ren_decode_stalls, ren_vp_stalls, ren_squashes,
 
 /* ---- small helpers ------------------------------------------------- */
 
-static int cmp_i32(const void *a, const void *b)
+/* Sort seqs ascending.  The lists are short (one cycle's completions,
+ * the pending loads behind an unknown store address) and the spill is
+ * already heap-ordered, so an insertion sort beats qsort's calls. */
+static void sort_i32(int32_t *a, int64_t n)
 {
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
+    int64_t i, j;
+    for (i = 1; i < n; i++) {
+        int32_t v = a[i];
+        for (j = i; j > 0 && a[j - 1] > v; j--)
+            a[j] = a[j - 1];
+        a[j] = v;
+    }
 }
 
 static void ev_push(int64_t t, int32_t s)
@@ -288,7 +303,7 @@ HOT int32_t pool_alloc(pool_t *p)
     int32_t id;
     if (p->count <= 0) { g_rc = 2; return -1; }
     id = p->ring[p->head];
-    p->head = (p->head + 1) % p->ring_cap;
+    p->head = WRAP(p->head + 1, p->ring_cap);
     p->count--;
     p->member[id] = 0;
     p->allocations++;
@@ -301,7 +316,7 @@ HOT void pool_release(pool_t *p, int32_t id)
 {
     if (id < 0 || id > MAX_IDENT || p->member[id]) { g_rc = 2; return; }
     p->member[id] = 1;
-    p->ring[(p->head + p->count) % p->ring_cap] = id;
+    p->ring[WRAP(p->head + p->count, p->ring_cap)] = id;
     p->count++;
     if (p->count > p->capacity)
         g_rc = 2;
@@ -323,13 +338,19 @@ static void wl_append(int32_t *head, int32_t *tail, int64_t t, int32_t s)
 
 /* ---- store queue --------------------------------------------------- */
 
+/* The ring slot of the entry at age offset off (0 is the oldest). */
+HOT int64_t sq_slot(int64_t off)
+{
+    return WRAP(sq_h + off, SQ_RING);
+}
+
 static int64_t sq_find(int32_t seq)
 {
     /* Binary search the age-ordered ring; returns a ring offset or -1. */
     int64_t lo = 0, hi = sq_n - 1;
     while (lo <= hi) {
         int64_t mid = (lo + hi) >> 1;
-        int32_t v = sq_seq[(sq_h + mid) % SQ_RING];
+        int32_t v = sq_seq[sq_slot(mid)];
         if (v == seq)
             return mid;
         if (v < seq)
@@ -343,12 +364,12 @@ static int64_t sq_find(int32_t seq)
 static void sq_insert(int32_t seq)
 {
     if (sq_n >= SQ_CAP || sq_n >= SQ_RING) { g_rc = 2; return; }
-    if (sq_n && sq_seq[(sq_h + sq_n - 1) % SQ_RING] >= seq) {
+    if (sq_n && sq_seq[sq_slot(sq_n - 1)] >= seq) {
         g_rc = 2;
         return;
     }
     {
-        int64_t slot = (sq_h + sq_n) % SQ_RING;
+        int64_t slot = sq_slot(sq_n);
         sq_seq[slot] = seq;
         sq_known[slot] = 0;
         sq_word[slot] = -1;
@@ -364,22 +385,22 @@ static void sq_set_address(int32_t seq, int64_t addr)
     int64_t off = sq_find(seq);
     int64_t slot;
     if (off < 0) { g_rc = 2; return; }
-    slot = (sq_h + off) % SQ_RING;
+    slot = sq_slot(off);
     sq_known[slot] = 1;
-    sq_word[slot] = addr / 8;
+    sq_word[slot] = addr >> 3;
 }
 
 static void sq_set_data_ready(int32_t seq, int64_t when)
 {
     int64_t off = sq_find(seq);
     if (off < 0) { g_rc = 2; return; }
-    sq_drt[(sq_h + off) % SQ_RING] = when;
+    sq_drt[sq_slot(off)] = when;
 }
 
 static void sq_remove_front(int32_t seq)
 {
     if (!sq_n || sq_seq[sq_h] != seq) { g_rc = 2; return; }
-    sq_h = (sq_h + 1) % SQ_RING;
+    sq_h = WRAP(sq_h + 1, SQ_RING);
     sq_n--;
 }
 
@@ -388,7 +409,7 @@ static int32_t sq_oldest_unknown(void)
     while (un_h < un_t) {
         int32_t seq = un_q[un_h];
         int64_t off = sq_find(seq);
-        if (off < 0 || sq_known[(sq_h + off) % SQ_RING]) {
+        if (off < 0 || sq_known[sq_slot(off)]) {
             un_h++;
             continue;
         }
@@ -413,9 +434,9 @@ static int sq_check_load(int32_t load_seq, int64_t addr, int64_t now)
         sq_waits++;
         return LO_WAIT;
     }
-    word = addr / 8;
+    word = addr >> 3;
     for (k = 0; k < sq_n; k++) {
-        int64_t slot = (sq_h + k) % SQ_RING;
+        int64_t slot = sq_slot(k);
         if (sq_seq[slot] >= load_seq)
             break;
         if (sq_word[slot] == word)
@@ -534,9 +555,19 @@ static int64_t bus_fill(int64_t now)
     return finish;
 }
 
+/* The cache line of an address (never negative: execute() refuses a
+ * trace with a negative one) and its tag slot (NUM_LINES is a power of
+ * two, load_params checks it). */
+HOT int64_t line_of(int64_t addr)
+{
+    return LINE_SHIFT >= 0 ? addr >> LINE_SHIFT : addr / LINE_BYTES;
+}
+
+#define TAG_SLOT(line) ((line) & (NUM_LINES - 1))
+
 static int64_t cache_load(int64_t addr, int64_t now)
 {
-    int64_t line = addr / LINE_BYTES, pending, fill;
+    int64_t line = line_of(addr), pending, fill;
     c_loads++;
     pending = mshr_lookup(line, now);
     if (pending >= 0) {
@@ -544,7 +575,7 @@ static int64_t cache_load(int64_t addr, int64_t now)
         c_load_misses++;
         return pending > hit ? pending : hit;
     }
-    if (c_tags[line % NUM_LINES] == line)
+    if (c_tags[TAG_SLOT(line)] == line)
         return now + HIT_LAT;
     c_load_misses++;
     if (!mshr_has_room(now)) {
@@ -555,29 +586,29 @@ static int64_t cache_load(int64_t addr, int64_t now)
     }
     fill = bus_fill(now);
     mshr_alloc(line, now, fill);
-    c_tags[line % NUM_LINES] = line;
+    c_tags[TAG_SLOT(line)] = line;
     return fill;
 }
 
 static void cache_store(int64_t addr, int64_t now)
 {
-    int64_t line = addr / LINE_BYTES, pending, fill;
+    int64_t line = line_of(addr), pending, fill;
     c_stores++;
     pending = mshr_lookup(line, now);
     if (pending >= 0) {
         c_store_misses++;
         return;
     }
-    if (c_tags[line % NUM_LINES] == line)
+    if (c_tags[TAG_SLOT(line)] == line)
         return;
     c_store_misses++;
     if (!mshr_has_room(now)) {
-        c_tags[line % NUM_LINES] = line;
+        c_tags[TAG_SLOT(line)] = line;
         return;
     }
     fill = bus_fill(now);
     mshr_alloc(line, now, fill);
-    c_tags[line % NUM_LINES] = line;
+    c_tags[TAG_SLOT(line)] = line;
 }
 
 static int port_available(int64_t now)
@@ -835,6 +866,14 @@ static int load_params(const int64_t *prm)
     if (ROB_SIZE < 0 || FB_SIZE < 0 || NUM_LINES < 1 || LINE_BYTES < 1
             || MSHR_N < 1 || RF_BANKS < 1 || SQ_CAP < 1)
         return 2;
+    /* CacheConfig requires a power-of-two line count (TAG_SLOT masks). */
+    if (NUM_LINES & (NUM_LINES - 1))
+        return 2;
+    LINE_SHIFT = -1;
+    if (!(LINE_BYTES & (LINE_BYTES - 1)))
+        for (LINE_SHIFT = 0; ((int64_t)1 << LINE_SHIFT) < LINE_BYTES;
+                LINE_SHIFT++)
+            ;
     return 0;
 }
 
@@ -977,8 +1016,8 @@ static void warm_up(int64_t skip, const int64_t *pc, const int8_t *op,
     int64_t i;
     for (i = 0; i < skip; i++) {
         if (addr[i]) {
-            int64_t line = addr[i] / LINE_BYTES;
-            c_tags[line % NUM_LINES] = line;
+            int64_t line = line_of(addr[i]);
+            c_tags[TAG_SLOT(line)] = line;
         }
         if (OP_BR[op[i]]) {
             int64_t bidx = (pc[i] >> 2) & BHT_MASK;
@@ -1041,7 +1080,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
             int64_t k, int_wb = WRITE_PORTS, fp_wb = WRITE_PORTS;
             if (F_RF_BANKS)
                 rf_bank_reset(rf_bank_w, RF_BANK_WP);
-            qsort(ev_list, (size_t)ev_cnt, 4, cmp_i32);
+            sort_i32(ev_list, ev_cnt);
             for (k = 0; k < ev_cnt; k++) {
                 int32_t s = ev_list[k];
                 int32_t op = r_op[s];
@@ -1190,7 +1229,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                 }
                 if (g_rc)
                     goto bail;
-                rob_h = (rob_h + 1) % (ROB_SIZE + 1);
+                rob_h = WRAP(rob_h + 1, ROB_SIZE + 1);
                 rob_n--;
                 committed++;
                 budget--;
@@ -1215,7 +1254,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                             waits++;
                     sq_waits += waits;
                     sp_q[sp_n++] = s;
-                    qsort(pm_q, (size_t)pm_n, 4, cmp_i32);
+                    sort_i32(pm_q, pm_n);
                     memcpy(sp_q + sp_n, pm_q, (size_t)pm_n * 4);
                     sp_n += pm_n;
                     pm_n = 0;
@@ -1382,7 +1421,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     s_no_reg++;
                     break;
                 }
-                fb_h = (fb_h + 1) % (FB_SIZE + 1);
+                fb_h = WRAP(fb_h + 1, FB_SIZE + 1);
                 fb_n--;
                 src1 = r_src1[s];
                 src2 = r_src2[s];
@@ -1426,7 +1465,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                         }
                     }
                 }
-                rob_q[(rob_h + rob_n) % (ROB_SIZE + 1)] = s;
+                rob_q[WRAP(rob_h + rob_n, ROB_SIZE + 1)] = s;
                 rob_n++;
                 if (rob_n > s_peak_rob)
                     s_peak_rob = rob_n;
@@ -1511,7 +1550,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     d_xcnt[s] = 0;
                     d_fl[s] = 0;
                     d_ni[s] = d_nf[s] = d_wc[s] = 0;
-                    fb_q[(fb_h + fb_n) % (FB_SIZE + 1)] = s;
+                    fb_q[WRAP(fb_h + fb_n, FB_SIZE + 1)] = s;
                     fb_n++;
                     budget--;
                     if (OP_BR[r_op[s]]) {

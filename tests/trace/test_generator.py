@@ -171,15 +171,16 @@ class TestTraceColumns:
         assert [repr(rec) for rec in cols] == [repr(rec) for rec in recs]
 
     def test_a_longer_prefix_is_a_new_entry(self, monkeypatch):
-        """A held prefix serves shorter requests without regenerating; a
-        longer request builds a new entry from the start and leaves the
-        previously returned columns unchanged."""
+        """A held prefix serves shorter requests without running the
+        emitter; a longer request emits a new entry from the start (more
+        kernel visits than the shorter build, not just the missing ones)
+        and leaves the previously returned columns unchanged."""
         visits = []
-        run_kernel = SyntheticTrace._run_kernel
+        emit_visit = SyntheticTrace._run_kernel
 
         def counting(self, *args):
             visits.append(1)
-            return run_kernel(self, *args)
+            return emit_visit(self, *args)
 
         monkeypatch.setattr(SyntheticTrace, "_run_kernel", counting)
         wl = load_workload("go")
@@ -194,6 +195,7 @@ class TestTraceColumns:
         assert [list(column) for column in cols.arrays()] == before
         assert self._keys() == [("go", 1)]
         rebuilt = len(visits)
+        assert rebuilt - built > built
         assert trace_columns(wl, 1, 5_000) is longer
         assert len(visits) == rebuilt
         assert list(longer.addr) == [
@@ -254,6 +256,22 @@ class TestTraceColumns:
         assert not cols.has_bad_store(first + 1, second)
         assert cols.has_bad_store(first + 1, second + 1)
         assert not cols.has_bad_store(second + 1, len(recs))
+
+    def test_the_smallest_address_is_recorded(self):
+        """``min_addr`` is the smallest address of the columns, or 0 when
+        none is negative, whichever way they were built."""
+        kernel = LoopKernel(
+            name="k", body=[Load("v", "a"), IntOp("x", ("v",))],
+            iterations=3,
+            arrays={"a": ArrayWalk(base=-4096, length=4, elem_bytes=8)})
+        wl = Workload("negative", [kernel], category="int")
+        recs = SyntheticTrace(wl, 1).take(60)
+        assert min(rec.addr for rec in recs) == -4096
+        assert trace_columns(wl, 1, 60).min_addr == -4096
+        assert TraceColumns.of(recs).min_addr == -4096
+        assert TraceColumns.of(recs[:1]).min_addr == -4096
+        assert TraceColumns.of(recs[1:2]).min_addr == 0  # an IntOp
+        assert trace_columns(load_workload("li"), 1, 500).min_addr == 0
 
     def test_the_byte_budget_bounds_what_the_cache_holds(self,
                                                          monkeypatch):

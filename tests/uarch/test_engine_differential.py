@@ -16,9 +16,11 @@ the interpreter's.  This suite checks the contract three ways:
 
 import importlib.util
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -334,6 +336,12 @@ FALLBACKS = {
         virtual_physical_config(nrr=8), {}, {},
         {"_param_block": _patched_param_block(F_IDLE=2)},
         "native-invariant"),
+    # The tag index is a mask, so the line count must be a power of two
+    # (CacheConfig guarantees it; the C side checks it).
+    "lines-not-power-of-two": (
+        virtual_physical_config(nrr=8), {}, {},
+        {"_param_block": _patched_param_block(NUM_LINES=96)},
+        "native-invariant"),
 }
 
 
@@ -513,6 +521,47 @@ def test_column_overflow_falls_back_to_interp():
     native.clear_cache()
 
 
+_NEGATIVE_ADDRESS_RUN = """
+import json
+from repro.trace import ArrayWalk, IntOp, Load, LoopKernel, Store, Workload
+from repro.uarch import native
+from repro.uarch.config import ProcessorConfig
+from repro.uarch.processor import simulate
+
+kernel = LoopKernel(
+    name="k", body=[Load("v", "a"), IntOp("x", ("v", "x")),
+                    Store("x", "a")],
+    iterations=4, arrays={"a": ArrayWalk(base=-4096, length=4)})
+stats = {}
+for engine in ("interp", "native"):
+    result = simulate(ProcessorConfig(engine=engine),
+                      workload=Workload("neg", [kernel], category="int"),
+                      max_instructions=1_500, skip=200)
+    stats[engine] = result.stats.to_dict()
+print(json.dumps({"stats": stats,
+                  "failures": native.cache_info()["build_failures"]}))
+"""
+
+
+@needs_toolchain
+def test_negative_addresses_fall_back_to_interp(tmp_path):
+    """A negative address never reaches the C loop, whose cache index
+    uses C's signed remainder (a write before the tag array, a crash):
+    the run is a counted ``negative-address`` fallback and lands on the
+    interpreter's statistics.  In a child process, so a crash shows as
+    an exit status rather than taking the test run down."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_ADDRESS_RUN], capture_output=True,
+        text=True, timeout=240, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["failures"] == {"negative-address": 1}
+    assert report["stats"]["native"] == dict(report["stats"]["interp"],
+                                             engine_fallbacks=1)
+
+
 @pytest.mark.parametrize("config", [
     policy_config("early-release"), virtual_physical_config(nrr=8)],
     ids=["unsupported-policy", "injected-rc2"])
@@ -580,6 +629,22 @@ SIZING_B = virtual_physical_config(
 
 def _key(config):
     return native.native_key(Processor(config))
+
+
+@needs_toolchain
+@pytest.mark.parametrize("line_bytes", [48, 64])
+def test_every_line_size_matches_the_interpreter(line_bytes):
+    """The C loop finds an address's line with a shift when the line
+    size is a power of two and with a division otherwise (a branch
+    fixed per run); either way the run is bit-identical to interp."""
+    config = virtual_physical_config(
+        nrr=8, cache=CacheConfig(size_bytes=128 * line_bytes,
+                                 line_bytes=line_bytes))
+    runs = [_run(config, engine, workload="swim", n=3_000)
+            for engine in ("interp", "native")]
+    assert runs[1][0].engine_used == "native"
+    assert runs[1][1] == runs[0][1]
+    assert runs[1][0].mem.cache._tags == runs[0][0].mem.cache._tags
 
 
 def _flags(processor):
@@ -812,7 +877,7 @@ def test_builds_and_the_probe_compile_with_cflags(tmp_path, monkeypatch):
     names = {line.split()[-1] for line in symbols.stdout.splitlines()}
     assert "repro_run" in names
     assert not names & {"pool_alloc", "pool_release", "try_load",
-                        "vp_try_alloc"}
+                        "vp_try_alloc", "sq_slot", "line_of"}
 
 
 @needs_toolchain
