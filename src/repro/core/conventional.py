@@ -157,7 +157,3 @@ class ConventionalRenamer(RenamingPolicy):
     def phys_pools(self):
         """Per-class physical pools (the engine's occupancy fast path)."""
         return self.free
-
-    def rename_gate_pools(self):
-        """Renaming blocks exactly when the physical pool is empty."""
-        return self.free

@@ -171,18 +171,6 @@ class RenamingPolicy:
         """
         return None
 
-    def rename_gate_pools(self):
-        """Per-class pools whose emptiness blocks renaming, or ``None``.
-
-        A side-effect-free stand-in for :meth:`can_rename` during
-        idle-skip probing: renaming blocks exactly when the destination
-        class's pool is empty.  ``can_rename`` itself may bump
-        policy-internal stall diagnostics, which a speculative probe
-        must not touch; returning ``None`` makes the engine fall back
-        to calling :meth:`can_rename`.
-        """
-        return None
-
     # -- shared helpers ---------------------------------------------------
 
     def _rename_sources(self, instr):

@@ -8,8 +8,8 @@ no longer auto-detects overridden hooks — a scheme that overrides
 ``on_dispatch`` / ``on_issue`` / ``on_complete`` must also set the
 matching capability flag (``has_dispatch_hook`` / ``has_issue_hook`` /
 ``has_complete_hook``), and pool introspection goes through
-``phys_pools()`` / ``rename_gate_pools()`` instead of ``free`` /
-``free_phys`` attribute sniffing.  See ``docs/renaming-policies.md``.
+``phys_pools()`` instead of ``free`` / ``free_phys`` attribute
+sniffing.  See ``docs/renaming-policies.md``.
 """
 
 from __future__ import annotations

@@ -356,8 +356,3 @@ class VirtualPhysicalRenamer(RenamingPolicy):
     def phys_pools(self):
         """Per-class physical pools (the engine's occupancy fast path)."""
         return self.free_phys
-
-    def rename_gate_pools(self):
-        """Renaming blocks only when the VP-tag pool is empty (the VP
-        scheme never stalls decode on physical registers)."""
-        return self.free_vp

@@ -8,7 +8,7 @@ hand-picked points:
 
 * a deterministic **config-space sampler** over the axes that select
   different paths through the loop — renaming policy, register-file port
-  model, idle skip, functional-unit mix, window geometry, physical
+  model, memory latency, functional-unit mix, window geometry, physical
   register / NRR sizing;
 * a **point comparator** running one (config, workload) point under
   the interpreter and the native engine and diffing the *complete*
@@ -29,6 +29,7 @@ from random import Random
 
 from repro.core.policy import resolve_policy
 from repro.isa.opcodes import DEFAULT_FU_COUNTS, FUKind
+from repro.memory.cache import CacheConfig
 from repro.trace.workloads import load_workload
 from repro.uarch.config import policy_config
 from repro.uarch.processor import Processor, SimulationDeadlock
@@ -48,8 +49,11 @@ AXES = {
     "policy": ("conventional", "vp-writeback", "vp-issue", "early-release"),
     # (rf_model, banks, bank_read_ports, bank_write_ports)
     "rf": ((False, 1, 1, 1), (True, 1, 16, 8), (True, 4, 2, 1),
-           (True, 2, 4, 2)),
-    "idle_skip": (True, False),
+           (True, 2, 4, 2), (True, 3, 2, 1)),
+    # (miss_penalty, bus_cycles_per_line, mshr_entries): the default
+    # against a slow memory whose queued fills reach the native event
+    # wheel's longest span (repro.uarch.native.event_horizon).
+    "memory": ((50, 4, 8), (400, 16, 16)),
     "fus": ("default", "scarce"),
     # (widths, rob, iq, fetch_buffer)
     "window": ((8, 128, 128, 16), (2, 32, 16, 4), (4, 64, 32, 8)),
@@ -99,6 +103,7 @@ def build_config(choice):
     rf_model, banks, brp, bwp = choice["rf"]
     width, rob, iq, fb = choice["window"]
     phys, nrr = choice["regs"]
+    miss_penalty, bus_cycles, mshrs = choice["memory"]
     overrides = dict(
         fetch_width=width, rename_width=width, issue_width=width,
         commit_width=width, rob_size=rob, iq_size=iq,
@@ -107,6 +112,9 @@ def build_config(choice):
         rf_bank_write_ports=bwp,
         perfect_branch_prediction=choice["perfect_bp"],
         retry_gating=choice["retry_gating"],
+        cache=CacheConfig(miss_penalty=miss_penalty,
+                          bus_cycles_per_line=bus_cycles,
+                          mshr_entries=mshrs),
     )
     if choice["fus"] == "scarce":
         overrides["fu_counts"] = dict(SCARCE_FUS)
@@ -129,8 +137,7 @@ def run_point(choice, workload, engine, instructions=DIFF_INSTRUCTIONS,
 
     materialize = trace_columns if engine == "native" else materialized_trace
     trace = materialize(load_workload(workload), seed, skip + instructions)
-    processor = Processor(build_config(choice),
-                          idle_skip=choice["idle_skip"], engine=engine)
+    processor = Processor(build_config(choice), engine=engine)
     try:
         result = processor.run(trace, max_instructions=instructions,
                                skip=skip)

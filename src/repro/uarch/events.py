@@ -7,30 +7,23 @@ a ``defaultdict(list)`` keyed by cycle with a calendar-queue layout:
 * a fixed-size ring of per-cycle buckets covers the near future (all
   pipeline latencies and ordinary memory fills land here),
 * an overflow map catches the rare event scheduled beyond the ring
-  horizon (e.g. a line fill pushed far out by bus contention),
-* a lazily-cleaned min-heap of scheduled cycles answers "when is the
-  next event?" in O(1) amortized — which is what lets the pipeline's
-  idle-cycle skip jump straight to the next scheduled event instead of
-  spinning through empty cycles during a long miss stall.
+  horizon (e.g. a line fill pushed far out by bus contention).
 
-The wheel assumes cycles are consumed in non-decreasing order (``pop``
-is called with the simulator's monotonically advancing ``now``), which
-the pipeline guarantees.  Two distinct live cycles can never collide in
-one ring slot: ring entries are only created within ``horizon`` cycles
-of the current base, so live ring cycles always span less than one full
-revolution.
+The wheel assumes cycles are consumed one at a time in order (``pop``
+is called with the simulator's ``now`` on every cycle, so an idle cycle
+costs one slot check), which the pipeline guarantees.  Two distinct
+live cycles can never collide in one ring slot: ring entries are only
+created within ``horizon`` cycles of the current base, so live ring
+cycles always span less than one full revolution.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 
 class EventWheel:
     """Calendar queue over simulation cycles."""
 
-    __slots__ = ("_horizon", "_ring", "_overflow", "_times", "_base",
-                 "pending")
+    __slots__ = ("_horizon", "_ring", "_overflow", "_base", "pending")
 
     def __init__(self, horizon=128):
         if horizon < 2:
@@ -38,7 +31,6 @@ class EventWheel:
         self._horizon = horizon
         self._ring = [None] * horizon  # slot -> [cycle, items] or None
         self._overflow = {}  # cycle -> items, for cycles >= base + horizon
-        self._times = []  # min-heap of cycles holding scheduled events
         self._base = 0  # last cycle handed to pop()
         self.pending = 0  # scheduled-but-unpopped items (cheap emptiness test)
 
@@ -60,18 +52,15 @@ class EventWheel:
                 items.append(item)
                 return
             self._overflow[cycle] = [item]
-        heappush(self._times, cycle)
 
     def pop(self, now):
         """All items scheduled for cycle ``now`` (empty tuple when none)."""
         self._base = now
-        times = self._times
-        while times and times[0] <= now:
-            heappop(times)
         items = ()
-        entry = self._ring[now % self._horizon]
+        slot = now % self._horizon
+        entry = self._ring[slot]
         if entry is not None and entry[0] == now:
-            self._ring[now % self._horizon] = None
+            self._ring[slot] = None
             items = entry[1]
         if self._overflow:
             extra = self._overflow.pop(now, None)
@@ -81,21 +70,5 @@ class EventWheel:
             self.pending -= len(items)
         return items
 
-    def due(self, now):
-        """Cheap test: are there events scheduled at or before ``now``?
-
-        Every bucket's cycle sits in the times-heap until popped, so
-        peeking the heap head answers without touching ring or overflow.
-        """
-        times = self._times
-        return bool(times) and times[0] <= now
-
-    def next_time(self):
-        """The earliest cycle holding events after the base, or ``None``."""
-        times = self._times
-        while times and times[0] <= self._base:
-            heappop(times)
-        return times[0] if times else None
-
     def __bool__(self):
-        return self.next_time() is not None
+        return self.pending > 0

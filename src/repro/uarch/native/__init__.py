@@ -14,8 +14,8 @@ flags
 (:func:`native_features`; each is an ordinary C branch on a value fixed
 for the run) and every sizing value — per-class NLR/NPR/NVR/NRR,
 widths, ROB/IQ/fetch-buffer sizes, ports, cache geometry, FU counts,
-the BHT mask, the deadlock horizon — from which the C side allocates
-its tables.
+the BHT mask, the deadlock and event horizons — from which the C side
+allocates its tables.
 The loop reads the trace as typed columns
 (:class:`~repro.trace.generator.TraceColumns`, cached once per registry
 ``(workload, seed)``) in place, so no record list is built or copied per
@@ -25,6 +25,15 @@ native code, and a flat counter block is mapped back onto
 ``SimStats`` — the contract is **bit-identical** statistics with the
 interpreter, enforced by the differential stack
 (``tools/engine_diff.py``, golden replays, the chaos differential).
+
+Nothing the C loop allocates grows with the trace.  Its per-instruction
+records live in a ring over the in-flight window (a power of two of at
+least ROB + fetch buffer slots, indexed by ``seq & mask``), as do the
+NRR reservation queue and the store queue; the ready set and the loads
+waiting for the cache are bitmaps over that ring, walked oldest first
+from the ROB head; completions sit in a wheel of per-cycle buckets
+spanning :func:`event_horizon` cycles, so an event is appended to its
+cycle's list instead of sifted through a heap.
 
 The shared object is cached under ``REPRO_CACHE_DIR/native/`` keyed by
 ``sha256(flags + header + template)`` (:func:`native_key`).  The header
@@ -39,10 +48,11 @@ cross-process ``flock`` serializes concurrent builds of the artifact.
 
 Everything degrades loudly but gracefully: no toolchain (when the
 artifact is not on disk yet), a failed compile, a processor the C loop
-cannot lower, or a trace shape it does not model (a store missing a
-source in the run window, a negative address, a value too wide for its
-column) falls back to the interpreter, with the reason recorded
-in :data:`build_failures` and the fallback counted in
+cannot lower (or whose cache fills can land past
+:data:`MAX_EVENT_HORIZON`), or a trace shape it does not model (a store
+missing a source in the run window, a negative address, a value too
+wide for its column) falls back to the interpreter, with the reason
+recorded in :data:`build_failures` and the fallback counted in
 ``SimStats.engine_fallbacks``; the C loop warms only its own copies of
 the cache tags and the predictor, so the interpreter warms its own from
 records, once, before it takes over.
@@ -104,8 +114,8 @@ _COUNTER_NAMES = (
     "stall_iq_full", "stall_no_reg", "stall_sq_full", "fetch_stall_cycles",
     "wb_port_defers", "int_reg_occupancy_sum", "fp_reg_occupancy_sum",
     "peak_rob", "iq_count", "fetch_resume_at", "next_seq", "last_commit",
-    "idle_skips", "idle_cycles_skipped", "cache_loads", "cache_load_misses",
-    "cache_stores", "cache_store_misses", "cache_mshr_stalls",
+    "cache_loads", "cache_load_misses", "cache_stores", "cache_store_misses",
+    "cache_mshr_stalls",
     "sq_forwards", "sq_waits", "port_conflicts", "mshr_allocations",
     "mshr_merges", "mshr_rejections", "bus_transfers", "bus_busy_cycles",
     "bus_free_at", "rf_read_stalls", "rf_bank_conflicts",
@@ -125,10 +135,10 @@ N_COUNTERS = len(_COUNTER_NAMES)
 #: The feature flags :func:`native_features` derives, each 0 or 1: the
 #: port model and its banks, a store-queue bound, the VP allocation
 #: hooks (write-back / issue), writers held in the IQ, retry gating,
-#: the idle-cycle skip, the branch oracle and the VP renamer family.
+#: the branch oracle and the VP renamer family.
 _FLAG_NAMES = (
     "F_RF", "F_RF_BANKS", "F_SQ", "F_COMPLETE", "F_ISSUE", "F_VP_WB",
-    "F_RETRY", "F_IDLE", "F_PERFECT", "F_VP",
+    "F_RETRY", "F_PERFECT", "F_VP",
 )
 
 #: The parameter block ``repro_run`` reads at entry, in slot order: the
@@ -143,7 +153,7 @@ _PARAM_NAMES = _FLAG_NAMES + (
     "FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE", "IQ_SIZE",
     "FB_SIZE", "READ_PORTS", "WRITE_PORTS", "COMMIT_DELAY", "HORIZON",
     "NUM_LINES", "LINE_BYTES", "HIT_LAT", "MISS_PEN", "MSHR_N", "BUS_CPL",
-    "CACHE_PORTS", "BHT_MASK", "SQ_CAP",
+    "CACHE_PORTS", "BHT_MASK", "SQ_CAP", "EV_HORIZON",
     "RF_BANKS", "RF_BANK_RP", "RF_BANK_WP",
     "FU_N_0", "FU_N_1", "FU_N_2", "FU_N_3", "FU_N_4", "FU_N_5",
 )
@@ -278,8 +288,7 @@ def native_features(processor):
             and not set(processor.fus.__dict__) & {"find_free",
                                                    "claim_unit"}
             and "update" not in processor.bht.__dict__
-            and processor._int_free is not None
-            and processor._rename_gate is not None):
+            and processor._int_free is not None):
         return None, "unsupported-policy"
     if vp:
         if (not caps.has_dispatch_hook
@@ -288,6 +297,8 @@ def native_features(processor):
     elif (caps.has_complete_hook or caps.has_issue_hook
             or caps.has_dispatch_hook or caps.holds_writers_in_iq or retry):
         return None, "unsupported-policy"
+    if event_horizon(processor.mem.cache.config) > MAX_EVENT_HORIZON:
+        return None, "event-horizon-too-long"
     rf = bool(cfg.rf_model)
     return {
         "F_RF": int(rf),
@@ -297,7 +308,6 @@ def native_features(processor):
         "F_ISSUE": int(caps.has_issue_hook),
         "F_VP_WB": int(caps.holds_writers_in_iq),
         "F_RETRY": int(retry),
-        "F_IDLE": int(bool(processor._idle_skip)),
         "F_PERFECT": int(bool(cfg.perfect_branch_prediction)),
         "F_VP": int(vp),
     }, None
@@ -311,11 +321,11 @@ def _pristine(processor):
             or p.pending_mem or p._replay or p.stats.committed
             or p.stats.cycles):
         return False
-    pools = [p.renamer.phys_pools()[cls] for cls in (RegClass.INT,
-                                                     RegClass.FP)]
-    gate = p.renamer.rename_gate_pools()
-    if gate is not None:
-        pools.extend(gate[cls] for cls in (RegClass.INT, RegClass.FP))
+    tables = [p.renamer.phys_pools()]
+    if hasattr(p.renamer, "free_vp"):
+        tables.append(p.renamer.free_vp)
+    pools = [table[cls] for table in tables
+             for cls in (RegClass.INT, RegClass.FP)]
     return all(fl.allocations == 0 and fl.free_count == fl.capacity
                for fl in pools)
 
@@ -326,7 +336,8 @@ def _pristine(processor):
 def render_header():
     """The header completing ``engine_template.c`` into one
     self-contained translation unit: the fixed tag-encoding constants,
-    the opcode decode tables and the counter and parameter slot numbers.
+    the wheel's largest span, the opcode decode tables and the counter
+    and parameter slot numbers.
     Nothing in it depends on a configuration."""
     lines = ["/* generated by repro.uarch.native - do not edit */"]
     define = lambda name, value: lines.append(f"#define {name} {value}")
@@ -334,6 +345,7 @@ def render_header():
     define("CLASS_SHIFT", CLASS_SHIFT)
     define("INDEX_MASK", (1 << CLASS_SHIFT) - 1)
     define("FAR_FUTURE", f"INT64_C({_FAR_FUTURE})")
+    define("MAX_EV_HORIZON", MAX_EVENT_HORIZON)
 
     define("N_OPS", len(OP_DECODE))
     cols = {"OP_DEST_INIT": [], "OP_LOAD_INIT": [], "OP_STORE_INIT": [],
@@ -382,6 +394,27 @@ def native_key(processor):
     return None if flags is None else _artifact_key()
 
 
+#: The longest event horizon the C loop sizes its wheel for (two
+#: 256 KB bucket arrays).  A cache whose fills can land further out runs
+#: on the interpreter, whose wheel keeps far events in a dict.
+MAX_EVENT_HORIZON = 1 << 16
+
+
+def event_horizon(cache_config):
+    """The longest delay, in cycles, at which the loop can schedule a
+    completion: an opcode's latency, a hit, or the last of ``MSHR_N``
+    fills queued back to back on the bus.  At most ``mshr_entries``
+    transfers are in flight (each holds an MSHR until its fill), and the
+    oldest of them finishes within ``max(miss_penalty,
+    bus_cycles_per_line)`` cycles, so every fill lands within this
+    bound.  The C loop sizes its event wheel from it."""
+    c = cache_config
+    fill = (max(c.miss_penalty, c.bus_cycles_per_line)
+            + (c.mshr_entries - 1) * c.bus_cycles_per_line)
+    return max(fill, c.hit_latency,
+               *(latency for *_, latency, _ in OP_DECODE))
+
+
 def _param_block(processor, flags):
     """The ``int64`` parameter block ``repro_run`` configures one run
     from, laid out in :data:`_PARAM_NAMES` order; ``flags`` is what
@@ -409,7 +442,7 @@ def _param_block(processor, flags):
         HIT_LAT=ccfg.hit_latency, MISS_PEN=ccfg.miss_penalty,
         MSHR_N=ccfg.mshr_entries, BUS_CPL=ccfg.bus_cycles_per_line,
         CACHE_PORTS=cfg.cache_ports, BHT_MASK=processor.bht._mask,
-        SQ_CAP=cfg.store_queue_size or 0)
+        SQ_CAP=cfg.store_queue_size or 0, EV_HORIZON=event_horizon(ccfg))
     # The per-class port budgets: the port model's when it is on.
     rf = processor.regfile
     if rf is not None:
@@ -542,8 +575,6 @@ def _sync(processor, c, tags_arr, bht_arr):
     p.fetch_resume_at = c[K["fetch_resume_at"]]
     p._next_seq = c[K["next_seq"]]
     p._last_commit_cycle = c[K["last_commit"]]
-    p.idle_skips = c[K["idle_skips"]]
-    p.idle_cycles_skipped = c[K["idle_cycles_skipped"]]
     st.committed = c[K["committed"]]
     st.fetched = c[K["fetched"]]
     st.executions = c[K["executions"]]

@@ -2,17 +2,33 @@
  *
  * This file is the second half of a single translation unit: the Python
  * side (repro.uarch.native) renders a header holding only fixed
- * constants (the tag encoding, the opcode decode tables and the counter
- * and parameter slot numbers), and prepends it to this template before
- * invoking the system C compiler.  Nothing in the header depends on a
- * ProcessorConfig: the F_* feature flags (policy hooks, port banks,
- * store-queue bound, idle skip, branch oracle and the renamer family;
- * repro.uarch.native.native_features) and every sizing value (register
- * counts and NRR per class, widths, window sizes, ports, cache geometry,
- * FU counts, ...) arrive at run time in the int64 parameter block.  A
- * flag is an ordinary branch on a value fixed for the whole run, so it
- * predicts perfectly; one artifact per template serves every config,
- * and the whole trace runs in one call.
+ * constants (the tag encoding, the wheel's largest span, the opcode
+ * decode tables and the counter and parameter slot numbers), and
+ * prepends it to this template before invoking the system C compiler.
+ * Nothing in the header depends on a ProcessorConfig: the F_* feature
+ * flags (policy hooks, port banks, store-queue bound, branch oracle and
+ * the renamer family; repro.uarch.native.native_features) and every
+ * sizing value (register counts and NRR per class, widths, window sizes,
+ * ports, cache geometry, FU counts, the event horizon, ...) arrive at
+ * run time in the int64 parameter block.  A flag is an ordinary branch
+ * on a value fixed for the whole run, so it predicts perfectly; one
+ * artifact per template serves every config, and the whole trace runs
+ * in one call.
+ *
+ * Per-run state is sized by the in-flight window, never by the trace:
+ * the instructions between the ROB head and the fetch tail are
+ * contiguous seqs, at most ROB + fetch buffer of them, so every
+ * per-instruction record lives in a ring of WIN slots (the next power of
+ * two, indexed by seq & WMASK), and the ROB and the fetch buffer are
+ * just counts behind the oldest seq.  The ready set and the loads
+ * waiting for the cache are bitmaps over those slots, walked oldest
+ * first from the ROB head's slot: an instruction that cannot issue keeps
+ * its bit, so nothing is pushed back.  Completion events sit in a wheel
+ * of per-cycle buckets (linked through the window records, appended at
+ * the tail) whose span is the longest delay the loop can schedule
+ * (P_EV_HORIZON, at most MAX_EV_HORIZON); the clock advances one cycle
+ * at a time, so each bucket is drained on its own cycle, and a push past
+ * the span is refused with rc 2.
  *
  * Stage semantics and ordering mirror the reference interpreter,
  * Processor._step in repro/uarch/processor.py — when editing either,
@@ -32,10 +48,11 @@
  * Return codes: 0 = trace completed; 1 = simulated deadlock (counters
  * and cache/BHT state are synced, the caller raises
  * SimulationDeadlock); 2 = internal invariant violated or a parameter
- * block the loop cannot size or run (an inconsistent flag set; nothing
- * is synced, the caller warms its own cache and predictor and falls
- * back to the interpreter, which reproduces the same crash); 3 = out of
- * memory (nothing ran, the caller falls back the same way).
+ * block the loop cannot size or run (an inconsistent flag set, an event
+ * past the wheel's span; nothing is synced, the caller warms its own
+ * cache and predictor and falls back to the interpreter, which
+ * reproduces the same crash); 3 = out of memory (nothing ran, the
+ * caller falls back the same way).
  */
 
 #include <stdint.h>
@@ -57,12 +74,13 @@ static const uint8_t OP_PIPE[N_OPS] = OP_PIPE_INIT;
 
 /* Feature flags, each 0 or 1 for the whole run. */
 static int F_RF, F_RF_BANKS, F_SQ, F_COMPLETE, F_ISSUE, F_VP_WB, F_RETRY,
-    F_IDLE, F_PERFECT, F_VP;
+    F_PERFECT, F_VP;
 
 /* Sizing.  READ_PORTS/WRITE_PORTS are the per-class port budgets (the
- * port model's when F_RF is on); SQ_CAP is unbounded without F_SQ. */
+ * port model's when F_RF is on); SQ_CAP is unbounded without F_SQ;
+ * EV_HORIZON is the longest delay an event may be scheduled at. */
 static int64_t FETCH_W, RENAME_W, ISSUE_W, COMMIT_W, ROB_SIZE, IQ_SIZE,
-    FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON;
+    FB_SIZE, READ_PORTS, WRITE_PORTS, COMMIT_DELAY, HORIZON, EV_HORIZON;
 static int64_t NUM_LINES, LINE_BYTES, HIT_LAT, MISS_PEN, MSHR_N, BUS_CPL,
     CACHE_PORTS, BHT_MASK, SQ_CAP;
 /* log2(LINE_BYTES), or -1 when the line size is not a power of two. */
@@ -70,6 +88,9 @@ static int64_t LINE_SHIFT;
 static int64_t RF_BANKS, RF_BANK_RP, RF_BANK_WP;
 static int64_t MAX_IDENT, FU_MAX;
 static int64_t FU_N[6];
+/* Derived: the window ring (a power of two >= ROB + fetch buffer, and at
+ * least one bitmap word) and the wheel (a power of two > EV_HORIZON). */
+static int64_t WIN, WMASK, WHEEL_MASK;
 
 /* The per-instruction helpers are forced inline: with every feature's
  * code in one translation unit, gcc -O2 called them out of line, and the
@@ -96,9 +117,6 @@ static int64_t FU_N[6];
  * size, so one compare-and-subtract replaces a 64-bit divide. */
 #define WRAP(i, size) ((i) >= (size) ? (i) - (size) : (i))
 
-#define EV_CAP (ROB_SIZE + FB_SIZE + 16)
-#define SH_CAP (ROB_SIZE + 16)
-#define SQ_RING (ROB_SIZE + 1)
 #define MSHR_HEAP (MSHR_N + 2)
 
 /* ---- machine state (file scope: the loader uses PyDLL, so the GIL
@@ -106,36 +124,49 @@ static int64_t FU_N[6];
 
 static int g_rc;
 
-static int64_t g_n;
 static const int64_t *r_pc;
 static const int8_t *r_op;
 static const int16_t *r_dest, *r_src1, *r_src2;
 static const int64_t *r_addr;
 static const int8_t *r_taken;
 
-/* per-instruction dynamic state, indexed by seq (== trace index) */
-static int64_t *d_nb, *d_mra, *d_dra, *d_cat;
-static int32_t *d_dtag, *d_dphys, *d_prev, *d_vpr, *d_rt1, *d_rt2, *d_xcnt;
-static uint8_t *d_fl, *d_ni, *d_nf, *d_wc;
+/* One in-flight instruction: the window slot seq & WMASK. */
+typedef struct {
+    int64_t nb;         /* earliest issue cycle */
+    int64_t mra;        /* cycle the memory access may start (-1 none) */
+    int64_t dra;        /* store: cycle its data is ready (-1 none) */
+    int64_t cat;        /* completion cycle (-1 none) */
+    int32_t seq;
+    int32_t dtag, dphys, prev, vpr, rt1, rt2, xcnt;
+    int32_t ev_next;    /* next seq in the same wheel bucket */
+    int32_t w_next[2];  /* next node in the wakeup list of operand k */
+    int32_t sqs;        /* store: its store-queue ring slot */
+    uint8_t fl, ni, nf, wc;
+} dyn_t;
 
-/* ROB / fetch buffer rings */
-static int32_t *rob_q, *fb_q;
-static int64_t rob_h, rob_n, fb_h, fb_n;
+static dyn_t *dyn;
+#define DY(s) (&dyn[(s) & WMASK])
 
-/* event heap: (time, seq), keyed by time only; same-cycle events are
- * drained together and sorted by seq (sort_i32), matching
- * events.sort(key=_seq_of) */
-static int64_t *evt_t;
-static int32_t *evt_s;
-static int64_t ev_n;
+/* The ready set and the loads waiting for the cache: one bit per window
+ * slot, walked oldest first from the ROB head's slot (bits_next). */
+static uint64_t *rdy_bits, *pm_bits;
+static int64_t rdy_n, pm_n;
+#define BIT_SET(bits, slot) \
+    ((bits)[(slot) >> 6] |= (uint64_t)1 << ((slot) & 63))
+#define BIT_CLR(bits, slot) \
+    ((bits)[(slot) >> 6] &= ~((uint64_t)1 << ((slot) & 63)))
 
-/* ready / pending-mem heaps (int32 seq min-heaps) and scratch arrays */
-static int32_t *rh_q, *pm_q, *rt_q, *sp_q, *mg_q, *ev_list;
-static int64_t rh_n, pm_n, mg_n;
+/* The event wheel: bucket now & WHEEL_MASK lists the seqs completing at
+ * cycle now, linked through ev_next; ev_list collects one cycle's. */
+static int32_t *wh_head, *wh_tail, *ev_list;
 
-/* wakeup lists: per-tag FIFO linked lists from a bump node pool */
-static int32_t *wn_next, *wn_seq;
-static int64_t wn_n, wn_cap;
+/* Loads sleeping on a full MSHR file, woken by a committing store. */
+static int32_t *mg_q;
+static int64_t mg_n;
+
+/* Wakeup lists: a per-tag FIFO of nodes, node 2 * slot + k standing for
+ * source operand k of the instruction in that slot (a store's value
+ * waits as operand 1 on the dw_ lists). */
 static int32_t *w_head, *w_tail, *dw_head, *dw_tail;
 static int64_t *ready_at;
 
@@ -152,7 +183,7 @@ static pool_t pool_phys[2];   /* conv: renamer.free; vp: free_phys */
 static int32_t *map_tab[2];
 static pool_t *ren_pool;
 /* F_VP only: VP tables, the general map's physical side and the NRR
- * reservation queue. */
+ * reservation queue (a window ring; pend_h/pend_t count pops/pushes). */
 static pool_t pool_vp[2];
 static int32_t *pmt[2], *gp[2];
 static uint8_t *gv[2];
@@ -162,13 +193,13 @@ static int64_t pend_h[2], pend_t[2];
 /* per-class register counts: logical, physical, virtual, reserved */
 static int64_t pool_nlr[2], pool_npr[2], pool_nvr[2], res_nrr[2];
 
-/* store queue: ring in age order + monotonic unknown-address queue */
+/* Store queue: a window ring in age order; sq_h and sq_t count removals
+ * and insertions, and sq_u is the first entry that may still lack its
+ * address. */
 static int32_t *sq_seq;
 static int64_t *sq_word, *sq_drt;
 static uint8_t *sq_known;
-static int64_t sq_h, sq_n;
-static int32_t *un_q;
-static int64_t un_h, un_t;
+static int64_t sq_h, sq_t, sq_u;
 static int64_t sq_forwards, sq_waits;
 
 /* functional units */
@@ -201,9 +232,9 @@ static int64_t ren_decode_stalls, ren_vp_stalls, ren_squashes,
 
 /* ---- small helpers ------------------------------------------------- */
 
-/* Sort seqs ascending.  The lists are short (one cycle's completions,
- * the pending loads behind an unknown store address) and the spill is
- * already heap-ordered, so an insertion sort beats qsort's calls. */
+/* Sort seqs ascending.  The list is one cycle's completions, appended
+ * in push order, so it is short and nearly sorted: an insertion sort
+ * beats qsort's calls. */
 static void sort_i32(int32_t *a, int64_t n)
 {
     int64_t i, j;
@@ -215,87 +246,53 @@ static void sort_i32(int32_t *a, int64_t n)
     }
 }
 
-static void ev_push(int64_t t, int32_t s)
+HOT int ctz64(uint64_t x)
 {
-    int64_t i;
-    if (ev_n >= EV_CAP) { g_rc = 2; return; }
-    i = ev_n++;
-    while (i > 0) {
-        int64_t par = (i - 1) >> 1;
-        if (evt_t[par] <= t)
-            break;
-        evt_t[i] = evt_t[par];
-        evt_s[i] = evt_s[par];
-        i = par;
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int n = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        n++;
     }
-    evt_t[i] = t;
-    evt_s[i] = s;
+    return n;
+#endif
 }
 
-static int32_t ev_pop(void)
+/* The first set bit of a window bitmap at or past offset off from the
+ * slot base (the oldest in-flight seq's), as an offset; WIN or more when
+ * there is none (a bit found past WIN is one below off, wrapped round).
+ * Offsets follow seq order, since the window holds consecutive seqs. */
+HOT int64_t bits_next(const uint64_t *bits, int64_t base, int64_t off)
 {
-    int32_t top = evt_s[0];
-    int64_t lt, i;
-    int32_t ls;
-    ev_n--;
-    lt = evt_t[ev_n];
-    ls = evt_s[ev_n];
-    i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= ev_n)
-            break;
-        if (c + 1 < ev_n && evt_t[c + 1] < evt_t[c])
-            c++;
-        if (evt_t[c] >= lt)
-            break;
-        evt_t[i] = evt_t[c];
-        evt_s[i] = evt_s[c];
-        i = c;
+    while (off < WIN) {
+        int64_t slot = (base + off) & WMASK;
+        uint64_t word = bits[slot >> 6] >> (slot & 63);
+        if (word)
+            return off + ctz64(word);
+        off += 64 - (slot & 63);
     }
-    if (ev_n > 0) {
-        evt_t[i] = lt;
-        evt_s[i] = ls;
-    }
-    return top;
+    return off;
 }
 
-static void h32_push(int32_t *h, int64_t *pn, int64_t cap, int32_t v)
+/* Schedule seq s to complete at cycle t, one to EV_HORIZON cycles out;
+ * anything else would land in a bucket that is drained at another
+ * cycle. */
+HOT void ev_push(int64_t now, int64_t t, int32_t s)
 {
-    int64_t i;
-    if (*pn >= cap) { g_rc = 2; return; }
-    i = (*pn)++;
-    while (i > 0) {
-        int64_t par = (i - 1) >> 1;
-        if (h[par] <= v)
-            break;
-        h[i] = h[par];
-        i = par;
+    int64_t b;
+    if (t <= now || t - now > EV_HORIZON) {
+        g_rc = 2;
+        return;
     }
-    h[i] = v;
-}
-
-static int32_t h32_pop(int32_t *h, int64_t *pn)
-{
-    int32_t top = h[0], last;
-    int64_t i, m;
-    m = --(*pn);
-    last = h[m];
-    i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= m)
-            break;
-        if (c + 1 < m && h[c + 1] < h[c])
-            c++;
-        if (h[c] >= last)
-            break;
-        h[i] = h[c];
-        i = c;
-    }
-    if (m > 0)
-        h[i] = last;
-    return top;
+    b = t & WHEEL_MASK;
+    DY(s)->ev_next = -1;
+    if (wh_head[b] < 0)
+        wh_head[b] = s;
+    else
+        DY(wh_tail[b])->ev_next = s;
+    wh_tail[b] = s;
 }
 
 HOT int32_t pool_alloc(pool_t *p)
@@ -322,100 +319,48 @@ HOT void pool_release(pool_t *p, int32_t id)
         g_rc = 2;
 }
 
-static void wl_append(int32_t *head, int32_t *tail, int64_t t, int32_t s)
+/* Append wakeup node `node` to tag ti's list. */
+HOT void wl_append(int32_t *head, int32_t *tail, int64_t ti, int32_t node)
 {
-    int32_t node;
-    if (wn_n >= wn_cap) { g_rc = 2; return; }
-    node = (int32_t)wn_n++;
-    wn_seq[node] = s;
-    wn_next[node] = -1;
-    if (head[t] < 0)
-        head[t] = node;
+    dyn[node >> 1].w_next[node & 1] = -1;
+    if (head[ti] < 0)
+        head[ti] = node;
     else
-        wn_next[tail[t]] = node;
-    tail[t] = node;
+        dyn[tail[ti] >> 1].w_next[tail[ti] & 1] = node;
+    tail[ti] = node;
 }
 
 /* ---- store queue --------------------------------------------------- */
 
-/* The ring slot of the entry at age offset off (0 is the oldest). */
-HOT int64_t sq_slot(int64_t off)
-{
-    return WRAP(sq_h + off, SQ_RING);
-}
-
-static int64_t sq_find(int32_t seq)
-{
-    /* Binary search the age-ordered ring; returns a ring offset or -1. */
-    int64_t lo = 0, hi = sq_n - 1;
-    while (lo <= hi) {
-        int64_t mid = (lo + hi) >> 1;
-        int32_t v = sq_seq[sq_slot(mid)];
-        if (v == seq)
-            return mid;
-        if (v < seq)
-            lo = mid + 1;
-        else
-            hi = mid - 1;
-    }
-    return -1;
-}
-
 static void sq_insert(int32_t seq)
 {
-    if (sq_n >= SQ_CAP || sq_n >= SQ_RING) { g_rc = 2; return; }
-    if (sq_n && sq_seq[sq_slot(sq_n - 1)] >= seq) {
+    int64_t slot = sq_t & WMASK;
+    if (sq_t - sq_h >= SQ_CAP || sq_t - sq_h >= WIN) { g_rc = 2; return; }
+    if (sq_t > sq_h && sq_seq[(sq_t - 1) & WMASK] >= seq) {
         g_rc = 2;
         return;
     }
-    {
-        int64_t slot = sq_slot(sq_n);
-        sq_seq[slot] = seq;
-        sq_known[slot] = 0;
-        sq_word[slot] = -1;
-        sq_drt[slot] = -1;
-        sq_n++;
-    }
-    if (un_t > g_n) { g_rc = 2; return; }
-    un_q[un_t++] = seq;
-}
-
-static void sq_set_address(int32_t seq, int64_t addr)
-{
-    int64_t off = sq_find(seq);
-    int64_t slot;
-    if (off < 0) { g_rc = 2; return; }
-    slot = sq_slot(off);
-    sq_known[slot] = 1;
-    sq_word[slot] = addr >> 3;
-}
-
-static void sq_set_data_ready(int32_t seq, int64_t when)
-{
-    int64_t off = sq_find(seq);
-    if (off < 0) { g_rc = 2; return; }
-    sq_drt[sq_slot(off)] = when;
+    sq_seq[slot] = seq;
+    sq_known[slot] = 0;
+    sq_word[slot] = -1;
+    sq_drt[slot] = -1;
+    DY(seq)->sqs = (int32_t)slot;
+    sq_t++;
 }
 
 static void sq_remove_front(int32_t seq)
 {
-    if (!sq_n || sq_seq[sq_h] != seq) { g_rc = 2; return; }
-    sq_h = WRAP(sq_h + 1, SQ_RING);
-    sq_n--;
+    if (sq_t == sq_h || sq_seq[sq_h & WMASK] != seq) { g_rc = 2; return; }
+    sq_h++;
 }
 
 static int32_t sq_oldest_unknown(void)
 {
-    while (un_h < un_t) {
-        int32_t seq = un_q[un_h];
-        int64_t off = sq_find(seq);
-        if (off < 0 || sq_known[sq_slot(off)]) {
-            un_h++;
-            continue;
-        }
-        return seq;
-    }
-    return -1;
+    if (sq_u < sq_h)
+        sq_u = sq_h;
+    while (sq_u < sq_t && sq_known[sq_u & WMASK])
+        sq_u++;
+    return sq_u < sq_t ? sq_seq[sq_u & WMASK] : -1;
 }
 
 /* check_load outcomes */
@@ -427,7 +372,7 @@ static int sq_check_load(int32_t load_seq, int64_t addr, int64_t now)
 {
     int32_t oldest;
     int64_t word, k, match = -1;
-    if (!sq_n)
+    if (sq_t == sq_h)
         return LO_ACCESS;
     oldest = sq_oldest_unknown();
     if (oldest >= 0 && oldest < load_seq) {
@@ -435,8 +380,8 @@ static int sq_check_load(int32_t load_seq, int64_t addr, int64_t now)
         return LO_WAIT;
     }
     word = addr >> 3;
-    for (k = 0; k < sq_n; k++) {
-        int64_t slot = sq_slot(k);
+    for (k = sq_h; k < sq_t; k++) {
+        int64_t slot = k & WMASK;
         if (sq_seq[slot] >= load_seq)
             break;
         if (sq_word[slot] == word)
@@ -671,10 +616,10 @@ static void rf_bank_reset(int64_t *budget, int64_t ports)
         budget[i] = ports;
 }
 
-static int rf_bank_can_read(int32_t s)
+static int rf_bank_can_read(const dyn_t *d)
 {
-    if (d_ni[s] || d_nf[s]) {
-        int32_t t1 = d_rt1[s], t2 = d_rt2[s];
+    if (d->ni || d->nf) {
+        int32_t t1 = d->rt1, t2 = d->rt2;
         if (t1 >= 0 && t2 >= 0) {
             int64_t s1 = RF_SLOT(t1), s2 = RF_SLOT(t2);
             if (s1 == s2) {
@@ -697,19 +642,19 @@ static int rf_bank_can_read(int32_t s)
     return 1;
 }
 
-static void rf_bank_claim_read(int32_t s)
+static void rf_bank_claim_read(const dyn_t *d)
 {
-    if (d_ni[s] || d_nf[s]) {
-        if (d_rt1[s] >= 0)
-            rf_bank_r[RF_SLOT(d_rt1[s])]--;
-        if (d_rt2[s] >= 0)
-            rf_bank_r[RF_SLOT(d_rt2[s])]--;
+    if (d->ni || d->nf) {
+        if (d->rt1 >= 0)
+            rf_bank_r[RF_SLOT(d->rt1)]--;
+        if (d->rt2 >= 0)
+            rf_bank_r[RF_SLOT(d->rt2)]--;
     }
 }
 
-static int rf_bank_can_write(int32_t s)
+static int rf_bank_can_write(const dyn_t *d)
 {
-    if (rf_bank_w[RF_SLOT(d_dtag[s])] == 0) {
+    if (rf_bank_w[RF_SLOT(d->dtag)] == 0) {
         rf_bank_conflicts++;
         return 0;
     }
@@ -718,41 +663,45 @@ static int rf_bank_can_write(int32_t s)
 
 /* ---- VP allocation (write-back or issue stage) --------------------- */
 
-HOT int vp_try_alloc(int32_t s, int cls)
+HOT int vp_try_alloc(int32_t s, dyn_t *d, int cls)
 {
     pool_t *fr = &pool_phys[cls];
     int32_t phys, vp;
     int64_t idx;
-    if (!((d_fl[s] & FL_RES) || fr->count > res_nrr[cls] - res_used[cls]))
+    if (!((d->fl & FL_RES) || fr->count > res_nrr[cls] - res_used[cls]))
         return 0;
     if (fr->count == 0) {
         g_rc = 2; /* the NRR invariant is broken */
         return 1;
     }
     phys = pool_alloc(fr);
-    d_dphys[s] = phys;
-    vp = d_vpr[s];
+    d->dphys = phys;
+    vp = d->vpr;
     pmt[cls][vp] = phys;
     idx = r_dest[s] & INDEX_MASK;
     if (map_tab[cls][idx] == vp) {
         gp[cls][idx] = phys;
         gv[cls][idx] = 1;
     }
-    if (d_fl[s] & FL_RES)
+    if (d->fl & FL_RES)
         res_used[cls]++;
     return 1;
 }
 
 /* ---- allocation / teardown ----------------------------------------- */
 
-#define MAX_BLOCKS 96
+#define MAX_BLOCKS 48
 
 static void *g_blocks[MAX_BLOCKS];
 static int g_nblocks;
 
-static void *xalloc(int64_t nbytes)
+/* count elements of size bytes each; rc 3 when that cannot be had. */
+static void *xalloc(int64_t count, int64_t size)
 {
-    void *p = g_nblocks < MAX_BLOCKS ? malloc((size_t)nbytes) : NULL;
+    void *p = NULL;
+    if (count >= 0 && count <= (INT64_MAX >> 1) / size
+            && g_nblocks < MAX_BLOCKS)
+        p = malloc((size_t)(count * size));
     if (p == NULL)
         g_rc = 3;
     else
@@ -777,8 +726,8 @@ static void pool_init(pool_t *p, int64_t first, int64_t last_excl)
     p->count = cap;
     p->allocations = 0;
     p->min_free = cap;
-    p->ring = (int32_t *)xalloc(p->ring_cap * 4);
-    p->member = (uint8_t *)xalloc((int64_t)MAX_IDENT + 1);
+    p->ring = (int32_t *)xalloc(p->ring_cap, 4);
+    p->member = (uint8_t *)xalloc(MAX_IDENT + 1, 1);
     if (g_rc)
         return;
     memset(p->member, 0, (size_t)MAX_IDENT + 1);
@@ -810,7 +759,6 @@ static int load_params(const int64_t *prm)
     LOAD_FLAG(F_ISSUE);
     LOAD_FLAG(F_VP_WB);
     LOAD_FLAG(F_RETRY);
-    LOAD_FLAG(F_IDLE);
     LOAD_FLAG(F_PERFECT);
     LOAD_FLAG(F_VP);
     /* Banks belong to the port model; the allocation hooks and the
@@ -829,6 +777,7 @@ static int load_params(const int64_t *prm)
     WRITE_PORTS = prm[P_WRITE_PORTS];
     COMMIT_DELAY = prm[P_COMMIT_DELAY];
     HORIZON = prm[P_HORIZON];
+    EV_HORIZON = prm[P_EV_HORIZON];
     NUM_LINES = prm[P_NUM_LINES];
     LINE_BYTES = prm[P_LINE_BYTES];
     HIT_LAT = prm[P_HIT_LAT];
@@ -864,7 +813,8 @@ static int load_params(const int64_t *prm)
             FU_MAX = FU_N[k];
     }
     if (ROB_SIZE < 0 || FB_SIZE < 0 || NUM_LINES < 1 || LINE_BYTES < 1
-            || MSHR_N < 1 || RF_BANKS < 1 || SQ_CAP < 1)
+            || MSHR_N < 1 || RF_BANKS < 1 || SQ_CAP < 1 || EV_HORIZON < 1
+            || EV_HORIZON > MAX_EV_HORIZON)
         return 2;
     /* CacheConfig requires a power-of-two line count (TAG_SLOT masks). */
     if (NUM_LINES & (NUM_LINES - 1))
@@ -874,91 +824,76 @@ static int load_params(const int64_t *prm)
         for (LINE_SHIFT = 0; ((int64_t)1 << LINE_SHIFT) < LINE_BYTES;
                 LINE_SHIFT++)
             ;
+    for (WIN = 64; WIN < ROB_SIZE + FB_SIZE && WIN < ((int64_t)1 << 61);
+            WIN <<= 1)
+        ;
+    WMASK = WIN - 1;
+    for (WHEEL_MASK = 1; WHEEL_MASK <= EV_HORIZON; WHEEL_MASK <<= 1)
+        ;
+    WHEEL_MASK--;
     return 0;
 }
 
-static int setup(int64_t n, const int64_t *prm)
+static int setup(const int64_t *prm)
 {
     int64_t i, cls;
     g_nblocks = 0;
-    g_n = n;
     g_rc = load_params(prm);
     if (g_rc)
         return g_rc;
 
-    d_nb = (int64_t *)xalloc(n * 8);
-    d_mra = (int64_t *)xalloc(n * 8);
-    d_dra = (int64_t *)xalloc(n * 8);
-    d_cat = (int64_t *)xalloc(n * 8);
-    d_dtag = (int32_t *)xalloc(n * 4);
-    d_dphys = (int32_t *)xalloc(n * 4);
-    d_prev = (int32_t *)xalloc(n * 4);
-    d_vpr = (int32_t *)xalloc(n * 4);
-    d_rt1 = (int32_t *)xalloc(n * 4);
-    d_rt2 = (int32_t *)xalloc(n * 4);
-    d_xcnt = (int32_t *)xalloc(n * 4);
-    d_fl = (uint8_t *)xalloc(n);
-    d_ni = (uint8_t *)xalloc(n);
-    d_nf = (uint8_t *)xalloc(n);
-    d_wc = (uint8_t *)xalloc(n);
+    dyn = (dyn_t *)xalloc(WIN, sizeof(dyn_t));
+    rdy_bits = (uint64_t *)xalloc(WIN >> 6, 8);
+    pm_bits = (uint64_t *)xalloc(WIN >> 6, 8);
+    ev_list = (int32_t *)xalloc(WIN, 4);
+    mg_q = (int32_t *)xalloc(WIN, 4);
+    wh_head = (int32_t *)xalloc(WHEEL_MASK + 1, 4);
+    wh_tail = (int32_t *)xalloc(WHEEL_MASK + 1, 4);
 
-    rob_q = (int32_t *)xalloc((int64_t)(ROB_SIZE + 1) * 4);
-    fb_q = (int32_t *)xalloc((int64_t)(FB_SIZE + 1) * 4);
-    evt_t = (int64_t *)xalloc((int64_t)EV_CAP * 8);
-    evt_s = (int32_t *)xalloc((int64_t)EV_CAP * 4);
-    ev_list = (int32_t *)xalloc((int64_t)EV_CAP * 4);
-    rh_q = (int32_t *)xalloc((int64_t)SH_CAP * 4);
-    pm_q = (int32_t *)xalloc((int64_t)SH_CAP * 4);
-    rt_q = (int32_t *)xalloc((int64_t)SH_CAP * 4);
-    sp_q = (int32_t *)xalloc((int64_t)SH_CAP * 4);
-    mg_q = (int32_t *)xalloc((int64_t)SH_CAP * 4);
+    w_head = (int32_t *)xalloc(2 * MAX_IDENT, 4);
+    w_tail = (int32_t *)xalloc(2 * MAX_IDENT, 4);
+    dw_head = (int32_t *)xalloc(2 * MAX_IDENT, 4);
+    dw_tail = (int32_t *)xalloc(2 * MAX_IDENT, 4);
+    ready_at = (int64_t *)xalloc(2 * MAX_IDENT, 8);
 
-    wn_cap = 2 * n + 8;
-    wn_next = (int32_t *)xalloc(wn_cap * 4);
-    wn_seq = (int32_t *)xalloc(wn_cap * 4);
-    wn_n = 0;
-    w_head = (int32_t *)xalloc(2 * (int64_t)MAX_IDENT * 4);
-    w_tail = (int32_t *)xalloc(2 * (int64_t)MAX_IDENT * 4);
-    dw_head = (int32_t *)xalloc(2 * (int64_t)MAX_IDENT * 4);
-    dw_tail = (int32_t *)xalloc(2 * (int64_t)MAX_IDENT * 4);
-    ready_at = (int64_t *)xalloc(2 * (int64_t)MAX_IDENT * 8);
+    sq_seq = (int32_t *)xalloc(WIN, 4);
+    sq_word = (int64_t *)xalloc(WIN, 8);
+    sq_drt = (int64_t *)xalloc(WIN, 8);
+    sq_known = (uint8_t *)xalloc(WIN, 1);
 
-    sq_seq = (int32_t *)xalloc((int64_t)SQ_RING * 4);
-    sq_word = (int64_t *)xalloc((int64_t)SQ_RING * 8);
-    sq_drt = (int64_t *)xalloc((int64_t)SQ_RING * 8);
-    sq_known = (uint8_t *)xalloc((int64_t)SQ_RING);
-    un_q = (int32_t *)xalloc((n + 1) * 4);
-
-    fu_busy = (int64_t *)xalloc(6 * FU_MAX * 8);
-    fu_issued = (int64_t *)xalloc(6 * FU_MAX * 8);
-    mp_line = (int64_t *)xalloc(MSHR_N * 8);
-    mp_fill = (int64_t *)xalloc(MSHR_N * 8);
-    mh_fill = (int64_t *)xalloc(MSHR_HEAP * 8);
-    mh_line = (int64_t *)xalloc(MSHR_HEAP * 8);
+    fu_busy = (int64_t *)xalloc(6 * FU_MAX, 8);
+    fu_issued = (int64_t *)xalloc(6 * FU_MAX, 8);
+    mp_line = (int64_t *)xalloc(MSHR_N, 8);
+    mp_fill = (int64_t *)xalloc(MSHR_N, 8);
+    mh_fill = (int64_t *)xalloc(MSHR_HEAP, 8);
+    mh_line = (int64_t *)xalloc(MSHR_HEAP, 8);
     if (F_RF_BANKS) {
-        rf_bank_r = (int64_t *)xalloc(2 * RF_BANKS * 8);
-        rf_bank_w = (int64_t *)xalloc(2 * RF_BANKS * 8);
+        rf_bank_r = (int64_t *)xalloc(2 * RF_BANKS, 8);
+        rf_bank_w = (int64_t *)xalloc(2 * RF_BANKS, 8);
     }
 
     for (cls = 0; cls < 2; cls++) {
-        map_tab[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
+        map_tab[cls] = (int32_t *)xalloc(pool_nlr[cls], 4);
         if (F_VP) {
-            pmt[cls] = (int32_t *)xalloc(pool_nvr[cls] * 4);
-            gp[cls] = (int32_t *)xalloc(pool_nlr[cls] * 4);
-            gv[cls] = (uint8_t *)xalloc(pool_nlr[cls]);
-            pend_q[cls] = (int32_t *)xalloc((n + 1) * 4);
+            pmt[cls] = (int32_t *)xalloc(pool_nvr[cls], 4);
+            gp[cls] = (int32_t *)xalloc(pool_nlr[cls], 4);
+            gv[cls] = (uint8_t *)xalloc(pool_nlr[cls], 1);
+            pend_q[cls] = (int32_t *)xalloc(WIN, 4);
         }
     }
     if (g_rc)
         return g_rc;
 
-    rob_h = rob_n = fb_h = fb_n = 0;
-    ev_n = rh_n = pm_n = mg_n = 0;
-    sq_h = sq_n = un_h = un_t = 0;
+    memset(rdy_bits, 0, (size_t)(WIN >> 6) * 8);
+    memset(pm_bits, 0, (size_t)(WIN >> 6) * 8);
+    rdy_n = pm_n = mg_n = 0;
+    for (i = 0; i <= WHEEL_MASK; i++)
+        wh_head[i] = -1;
+    sq_h = sq_t = sq_u = 0;
     sq_forwards = sq_waits = 0;
 
     for (i = 0; i < 2 * MAX_IDENT; i++) {
-        w_head[i] = w_tail[i] = dw_head[i] = dw_tail[i] = -1;
+        w_head[i] = dw_head[i] = -1;
         ready_at[i] = FAR_FUTURE;
     }
     for (cls = 0; cls < 2; cls++)
@@ -1042,9 +977,10 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                   int64_t *cache_tags_io, int8_t *bht_io,
                   int64_t *counters)
 {
+    /* The window is seqs [committed, next_seq): the ROB holds the
+     * oldest rob_n of them, the fetch buffer the fb_n after those. */
     int64_t now = 0, fetch_resume_at = 0, next_seq = 0, last_commit = 0;
-    int64_t iq_count = 0, committed = 0, idle_skips = 0,
-        idle_cycles_skipped = 0;
+    int64_t iq_count = 0, committed = 0, rob_n = 0, fb_n = 0;
     int64_t s_fetched = 0, s_executions = 0, s_squashes = 0,
         s_issue_alloc = 0, s_branches = 0, s_mispredicts = 0,
         s_rob_full = 0, s_iq_full = 0, s_no_reg = 0, s_sq_full = 0,
@@ -1064,7 +1000,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
     c_tags = cache_tags_io;
     bht = bht_io;
 
-    if (setup(n, params)) {
+    if (setup(params)) {
         rc = g_rc;
         free_all();
         return rc;
@@ -1073,25 +1009,33 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
 
     while (!(exhausted && !fb_n && !rob_n)) {
         /* ---- write-back: completion events -------------------------- */
-        int64_t ev_cnt = 0;
-        while (ev_n && evt_t[0] <= now)
-            ev_list[ev_cnt++] = ev_pop();
-        if (ev_cnt) {
-            int64_t k, int_wb = WRITE_PORTS, fp_wb = WRITE_PORTS;
+        int64_t bucket = now & WHEEL_MASK;
+        if (wh_head[bucket] >= 0) {
+            int64_t k, ev_cnt = 0, int_wb = WRITE_PORTS,
+                fp_wb = WRITE_PORTS;
+            int32_t e = wh_head[bucket];
+            wh_head[bucket] = -1;
+            while (e >= 0) {
+                if (ev_cnt >= WIN) { g_rc = 2; goto bail; }
+                ev_list[ev_cnt++] = e;
+                e = DY(e)->ev_next;
+            }
             if (F_RF_BANKS)
                 rf_bank_reset(rf_bank_w, RF_BANK_WP);
             sort_i32(ev_list, ev_cnt);
             for (k = 0; k < ev_cnt; k++) {
                 int32_t s = ev_list[k];
+                dyn_t *d = DY(s);
                 int32_t op = r_op[s];
                 int cls;
                 int32_t tag;
                 if (OP_STORE[op]) {
-                    sq_set_address(s, r_addr[s]);
-                    d_mra[s] = now;
-                    if (d_dra[s] >= 0) {
-                        d_fl[s] |= FL_DONE;
-                        d_cat[s] = now;
+                    sq_known[d->sqs] = 1;
+                    sq_word[d->sqs] = r_addr[s] >> 3;
+                    d->mra = now;
+                    if (d->dra >= 0) {
+                        d->fl |= FL_DONE;
+                        d->cat = now;
                     }
                     continue;
                 }
@@ -1105,27 +1049,28 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     } else if (ctr > 0) {
                         bht[bidx] = ctr - 1;
                     }
-                    if (d_fl[s] & FL_MISP) {
+                    if (d->fl & FL_MISP) {
                         s_mispredicts++;
                         fetch_resume_at = now + 1;
                     }
-                    d_fl[s] |= FL_DONE;
-                    d_cat[s] = now;
+                    d->fl |= FL_DONE;
+                    d->cat = now;
                     continue;
                 }
                 cls = OP_DEST[op];
                 if (cls >= 0 && ((cls == 0 ? int_wb : fp_wb) == 0
-                                 || (F_RF_BANKS && !rf_bank_can_write(s)))) {
+                                 || (F_RF_BANKS && !rf_bank_can_write(d)))) {
                     s_wb_defers++;
-                    ev_push(now + 1, s);
+                    ev_push(now, now + 1, s);
                     continue;
                 }
-                if (F_COMPLETE && cls >= 0 && d_dphys[s] < 0) {
-                    if (!vp_try_alloc(s, cls)) {
+                if (F_COMPLETE && cls >= 0 && d->dphys < 0) {
+                    if (!vp_try_alloc(s, d, cls)) {
                         ren_squashes++;
                         s_squashes++;
-                        d_nb[s] = now + 1;
-                        h32_push(rh_q, &rh_n, SH_CAP, s);
+                        d->nb = now + 1;
+                        BIT_SET(rdy_bits, s & WMASK);
+                        rdy_n++;
                         continue;
                     }
                     if (g_rc)
@@ -1137,39 +1082,40 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     else
                         fp_wb--;
                     if (F_RF_BANKS)
-                        rf_bank_w[RF_SLOT(d_dtag[s])]--;
+                        rf_bank_w[RF_SLOT(d->dtag)]--;
                 }
-                d_fl[s] |= FL_DONE;
-                d_cat[s] = now;
-                if (d_fl[s] & FL_INIQ) {
-                    d_fl[s] &= ~FL_INIQ;
+                d->fl |= FL_DONE;
+                d->cat = now;
+                if (d->fl & FL_INIQ) {
+                    d->fl &= ~FL_INIQ;
                     iq_count--;
                 }
-                tag = d_dtag[s];
+                tag = d->dtag;
                 if (tag != -1) {
                     int64_t ti = TIDX(tag);
                     int32_t node;
                     ready_at[ti] = now;
                     node = w_head[ti];
-                    w_head[ti] = w_tail[ti] = -1;
+                    w_head[ti] = -1;
                     while (node >= 0) {
-                        int32_t w = wn_seq[node];
-                        d_wc[w]--;
-                        if (d_wc[w] == 0)
-                            h32_push(rh_q, &rh_n, SH_CAP, w);
-                        node = wn_next[node];
+                        dyn_t *w = &dyn[node >> 1];
+                        node = w->w_next[node & 1];
+                        if (--w->wc == 0) {
+                            BIT_SET(rdy_bits, w->seq & WMASK);
+                            rdy_n++;
+                        }
                     }
                     node = dw_head[ti];
-                    dw_head[ti] = dw_tail[ti] = -1;
+                    dw_head[ti] = -1;
                     while (node >= 0) {
-                        int32_t d = wn_seq[node];
-                        d_dra[d] = now;
-                        sq_set_data_ready(d, now);
-                        if (d_mra[d] >= 0 && !(d_fl[d] & FL_DONE)) {
-                            d_fl[d] |= FL_DONE;
-                            d_cat[d] = now;
+                        dyn_t *st = &dyn[node >> 1];
+                        node = st->w_next[node & 1];
+                        st->dra = now;
+                        sq_drt[st->sqs] = now;
+                        if (st->mra >= 0 && !(st->fl & FL_DONE)) {
+                            st->fl |= FL_DONE;
+                            st->cat = now;
                         }
-                        node = wn_next[node];
                     }
                 }
             }
@@ -1181,41 +1127,45 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
         if (rob_n) {
             int64_t budget = COMMIT_W, before = committed;
             while (budget && rob_n) {
-                int32_t s = rob_q[rob_h];
+                int32_t s = (int32_t)committed;
+                dyn_t *d = DY(s);
                 int32_t op = r_op[s];
                 int cls;
-                if (!(d_fl[s] & FL_DONE) || d_cat[s] + COMMIT_DELAY > now)
+                if (!(d->fl & FL_DONE) || d->cat + COMMIT_DELAY > now)
                     break;
                 if (OP_STORE[op]) {
                     if (!try_store_commit(r_addr[s], now))
                         break;
                     sq_remove_front(s);
                     if (mg_n) {
+                        /* Entries older than the store have committed. */
                         int64_t g;
-                        for (g = 0; g < mg_n; g++) {
-                            d_mra[mg_q[g]] = now;
-                            d_fl[mg_q[g]] &= ~FL_MGATED;
-                        }
+                        for (g = 0; g < mg_n; g++)
+                            if (mg_q[g] > s) {
+                                dyn_t *ld = DY(mg_q[g]);
+                                ld->mra = now;
+                                ld->fl &= ~FL_MGATED;
+                            }
                         mg_n = 0;
                     }
                 }
                 cls = OP_DEST[op];
                 if (cls >= 0 && F_VP) {
                     int32_t prev_vp, prev_phys;
-                    if (!(d_fl[s] & FL_RES)) {
+                    if (!(d->fl & FL_RES)) {
                         g_rc = 2;
                         goto bail;
                     }
                     res_reg[cls]--;
                     res_used[cls]--;
                     if (pend_h[cls] < pend_t[cls]) {
-                        int32_t nxt = pend_q[cls][pend_h[cls]++];
-                        d_fl[nxt] |= FL_RES;
+                        dyn_t *nxt = DY(pend_q[cls][pend_h[cls]++ & WMASK]);
+                        nxt->fl |= FL_RES;
                         res_reg[cls]++;
-                        if (d_dphys[nxt] >= 0)
+                        if (nxt->dphys >= 0)
                             res_used[cls]++;
                     }
-                    prev_vp = d_prev[s];
+                    prev_vp = d->prev;
                     prev_phys = pmt[cls][prev_vp];
                     if (prev_phys < 0) {
                         g_rc = 2;
@@ -1225,11 +1175,10 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     pool_release(&pool_phys[cls], prev_phys);
                     pool_release(&pool_vp[cls], prev_vp);
                 } else if (cls >= 0) {
-                    pool_release(&pool_phys[cls], d_prev[s]);
+                    pool_release(&pool_phys[cls], d->prev);
                 }
                 if (g_rc)
                     goto bail;
-                rob_h = WRAP(rob_h + 1, ROB_SIZE + 1);
                 rob_n--;
                 committed++;
                 budget--;
@@ -1240,93 +1189,93 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
         if (g_rc)
             goto bail;
 
-        /* ---- memory: loads attempt the cache ------------------------ */
+        /* ---- memory: loads attempt the cache, oldest first ---------- */
         if (pm_n) {
-            int64_t sp_n = 0;
             int32_t blocking = sq_oldest_unknown();
-            while (pm_n) {
-                int32_t s = h32_pop(pm_q, &pm_n);
+            int64_t base = committed & WMASK, off = -1;
+            while ((off = bits_next(pm_bits, base, off + 1)) < WIN) {
+                int64_t slot = (base + off) & WMASK;
+                dyn_t *d = &dyn[slot];
+                int32_t s = d->seq;
                 int64_t done;
                 if (blocking >= 0 && s > blocking) {
-                    int64_t waits = d_mra[s] > now ? 0 : 1, j;
-                    for (j = 0; j < pm_n; j++)
-                        if (d_mra[pm_q[j]] <= now)
-                            waits++;
-                    sq_waits += waits;
-                    sp_q[sp_n++] = s;
-                    sort_i32(pm_q, pm_n);
-                    memcpy(sp_q + sp_n, pm_q, (size_t)pm_n * 4);
-                    sp_n += pm_n;
-                    pm_n = 0;
+                    /* This load and every younger one would be told to
+                     * wait; count those past their address generation. */
+                    for (; off < WIN; off = bits_next(pm_bits, base, off + 1))
+                        if (dyn[(base + off) & WMASK].mra <= now)
+                            sq_waits++;
                     break;
                 }
-                if (d_mra[s] > now) {
-                    sp_q[sp_n++] = s;
+                if (d->mra > now)
                     continue;
-                }
                 done = try_load(s, r_addr[s], now);
                 if (done < 0) {
                     if (last_refusal == 3) {
                         int64_t gate = mshr_next_fill(now);
                         if (gate >= 0 && gate > now) {
-                            d_mra[s] = gate;
-                            if (!(d_fl[s] & FL_MGATED)) {
-                                d_fl[s] |= FL_MGATED;
+                            d->mra = gate;
+                            if (!(d->fl & FL_MGATED)) {
+                                d->fl |= FL_MGATED;
+                                if (mg_n == WIN) {
+                                    /* drop the loads that committed */
+                                    int64_t g, kept = 0;
+                                    for (g = 0; g < mg_n; g++)
+                                        if (mg_q[g] >= committed)
+                                            mg_q[kept++] = mg_q[g];
+                                    mg_n = kept;
+                                }
                                 mg_q[mg_n++] = s;
                             }
                         }
                     }
-                    sp_q[sp_n++] = s;
                     continue;
                 }
-                ev_push(done, s);
+                BIT_CLR(pm_bits, slot);
+                pm_n--;
+                ev_push(now, done, s);
             }
-            memcpy(pm_q, sp_q, (size_t)sp_n * 4);
-            pm_n = sp_n;
         }
         if (g_rc)
             goto bail;
 
         /* ---- issue: oldest-first over the ready set ----------------- */
-        if (rh_n) {
-            int64_t budget = ISSUE_W, launched = 0, rt_n = 0;
+        if (rdy_n) {
+            int64_t budget = ISSUE_W, launched = 0, left = rdy_n;
+            int64_t base = committed & WMASK, off = -1;
             int fu_blocked = 0;
             int64_t int_reads = READ_PORTS, fp_reads = READ_PORTS;
             if (F_RF_BANKS)
                 rf_bank_reset(rf_bank_r, RF_BANK_RP);
-            while (budget && rh_n) {
-                int32_t s = h32_pop(rh_q, &rh_n);
+            while (budget && left
+                   && (off = bits_next(rdy_bits, base, off + 1)) < WIN) {
+                int64_t slot = (base + off) & WMASK;
+                dyn_t *d = &dyn[slot];
+                int32_t s = d->seq;
                 int32_t op = r_op[s];
                 int kind, kind_bit, unit;
                 int64_t u, nu;
-                if (d_nb[s] > now) {
-                    rt_q[rt_n++] = s;
+                left--;
+                /* A refusal below leaves the bit set: it retries. */
+                if (d->nb > now)
                     continue;
-                }
-                if (F_RETRY && d_xcnt[s] > 0 && d_dphys[s] < 0
-                        && !(d_fl[s] & FL_RES)) {
+                if (F_RETRY && d->xcnt > 0 && d->dphys < 0
+                        && !(d->fl & FL_RES)) {
                     int rcls = OP_DEST[op];
                     if (rcls >= 0
                             && pool_phys[rcls].count
-                               <= res_nrr[rcls] - res_used[rcls]) {
-                        rt_q[rt_n++] = s;
+                               <= res_nrr[rcls] - res_used[rcls])
                         continue;
-                    }
                 }
-                if (d_ni[s] > int_reads || d_nf[s] > fp_reads) {
+                if (d->ni > int_reads || d->nf > fp_reads) {
                     rf_read_stalls++;
-                    rt_q[rt_n++] = s;
                     continue;
                 }
-                if (F_RF_BANKS && !rf_bank_can_read(s)) {
-                    rt_q[rt_n++] = s;
+                if (F_RF_BANKS && !rf_bank_can_read(d))
                     continue;
-                }
                 kind = OP_FU[op];
                 kind_bit = 1 << kind;
                 if (fu_blocked & kind_bit) {
                     fu_stalls[kind]++;
-                    rt_q[rt_n++] = s;
                     continue;
                 }
                 unit = -1;
@@ -1340,54 +1289,46 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                 if (unit < 0) {
                     fu_stalls[kind]++;
                     fu_blocked |= kind_bit;
-                    rt_q[rt_n++] = s;
                     continue;
                 }
-                if (F_ISSUE && OP_DEST[op] >= 0 && d_dphys[s] < 0) {
-                    if (!vp_try_alloc(s, OP_DEST[op])) {
+                if (F_ISSUE && OP_DEST[op] >= 0 && d->dphys < 0) {
+                    if (!vp_try_alloc(s, d, OP_DEST[op])) {
                         ren_issue_blocks++;
                         s_issue_alloc++;
-                        rt_q[rt_n++] = s;
                         continue;
                     }
                     if (g_rc)
                         goto bail;
                 }
+                BIT_CLR(rdy_bits, slot);
+                rdy_n--;
                 fu_issued[kind * FU_MAX + unit] = now;
                 if (!OP_PIPE[op])
                     fu_busy[kind * FU_MAX + unit] = now + OP_LAT[op];
                 fu_issues[kind]++;
-                int_reads -= d_ni[s];
-                fp_reads -= d_nf[s];
+                int_reads -= d->ni;
+                fp_reads -= d->nf;
                 if (F_RF_BANKS)
-                    rf_bank_claim_read(s);
+                    rf_bank_claim_read(d);
                 budget--;
-                d_xcnt[s]++;
+                d->xcnt++;
                 launched++;
                 if (OP_LOAD[op]) {
-                    d_mra[s] = now + 1;
-                    h32_push(pm_q, &pm_n, SH_CAP, s);
+                    d->mra = now + 1;
+                    BIT_SET(pm_bits, slot);
+                    pm_n++;
                 } else if (OP_STORE[op] || OP_BR[op]) {
-                    ev_push(now + 1, s);
+                    ev_push(now, now + 1, s);
                 } else {
-                    ev_push(now + OP_LAT[op], s);
+                    ev_push(now, now + OP_LAT[op], s);
                 }
                 /* F_VP_WB holds a writer in the IQ until write-back */
-                if ((d_fl[s] & FL_INIQ) && !(F_VP_WB && OP_DEST[op] >= 0)) {
-                    d_fl[s] &= ~FL_INIQ;
+                if ((d->fl & FL_INIQ) && !(F_VP_WB && OP_DEST[op] >= 0)) {
+                    d->fl &= ~FL_INIQ;
                     iq_count--;
                 }
             }
-            if (!rh_n) {
-                memcpy(rh_q, rt_q, (size_t)rt_n * 4);
-                rh_n = rt_n;
-            } else {
-                int64_t j;
-                for (j = 0; j < rt_n; j++)
-                    h32_push(rh_q, &rh_n, SH_CAP, rt_q[j]);
-            }
-            if (launched)
-                s_executions += launched;
+            s_executions += launched;
         }
         if (g_rc)
             goto bail;
@@ -1396,7 +1337,8 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
         if (fb_n) {
             int64_t budget = RENAME_W;
             while (budget && fb_n) {
-                int32_t s = fb_q[fb_h];
+                int32_t s = (int32_t)(committed + rob_n);
+                dyn_t *d = DY(s);
                 int32_t op = r_op[s];
                 int cls = OP_DEST[op];
                 int32_t src1, src2, t1 = -1, t2 = -1;
@@ -1409,7 +1351,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     s_iq_full++;
                     break;
                 }
-                if (OP_STORE[op] && sq_n >= SQ_CAP) {
+                if (OP_STORE[op] && sq_t - sq_h >= SQ_CAP) {
                     s_sq_full++;
                     break;
                 }
@@ -1421,7 +1363,6 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     s_no_reg++;
                     break;
                 }
-                fb_h = WRAP(fb_h + 1, FB_SIZE + 1);
                 fb_n--;
                 src1 = r_src1[s];
                 src2 = r_src2[s];
@@ -1437,41 +1378,38 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     int c = src2 >> CLASS_SHIFT;
                     t1 = (c << TAG_SHIFT) | map_tab[c][src2 & INDEX_MASK];
                 }
-                if (cls < 0) {
-                    d_dtag[s] = -1;
-                } else {
+                if (cls >= 0) {
                     int64_t idx = r_dest[s] & INDEX_MASK;
                     int32_t id = pool_alloc(&ren_pool[cls]);
                     if (g_rc)
                         goto bail;
-                    d_prev[s] = map_tab[cls][idx];
+                    d->prev = map_tab[cls][idx];
                     map_tab[cls][idx] = id;
-                    d_dtag[s] = (cls << TAG_SHIFT) | id;
-                    ready_at[TIDX(d_dtag[s])] = FAR_FUTURE;
+                    d->dtag = (cls << TAG_SHIFT) | id;
+                    ready_at[TIDX(d->dtag)] = FAR_FUTURE;
                     if (!F_VP) {
-                        d_dphys[s] = id;
+                        d->dphys = id;
                     } else {
-                        d_vpr[s] = id;
+                        d->vpr = id;
                         gv[cls][idx] = 0;
                         if (res_reg[cls] < res_nrr[cls]) {
-                            d_fl[s] |= FL_RES;
+                            d->fl |= FL_RES;
                             res_reg[cls]++;
                         } else {
-                            if (pend_t[cls] > g_n) {
+                            if (pend_t[cls] - pend_h[cls] >= WIN) {
                                 g_rc = 2;
                                 goto bail;
                             }
-                            pend_q[cls][pend_t[cls]++] = s;
+                            pend_q[cls][pend_t[cls]++ & WMASK] = s;
                         }
                     }
                 }
-                rob_q[WRAP(rob_h + rob_n, ROB_SIZE + 1)] = s;
                 rob_n++;
                 if (rob_n > s_peak_rob)
                     s_peak_rob = rob_n;
-                d_fl[s] |= FL_INIQ;
+                d->fl |= FL_INIQ;
                 iq_count++;
-                d_nb[s] = now + 1;
+                d->nb = now + 1;
                 budget--;
                 if (OP_STORE[op]) {
                     /* wait_tags = src_tags[:1]; value tag = src_tags[1]
@@ -1481,10 +1419,11 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     if (g_rc)
                         goto bail;
                     if (ready_at[TIDX(t2)] <= now) {
-                        d_dra[s] = now;
-                        sq_set_data_ready(s, now);
+                        d->dra = now;
+                        sq_drt[d->sqs] = now;
                     } else {
-                        wl_append(dw_head, dw_tail, TIDX(t2), s);
+                        wl_append(dw_head, dw_tail, TIDX(t2),
+                                  (int32_t)(2 * (s & WMASK) + 1));
                     }
                     t2 = -1; /* only the base address is read at issue */
                 }
@@ -1494,7 +1433,8 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     else
                         need_int++;
                     if (ready_at[TIDX(t1)] > now) {
-                        wl_append(w_head, w_tail, TIDX(t1), s);
+                        wl_append(w_head, w_tail, TIDX(t1),
+                                  (int32_t)(2 * (s & WMASK)));
                         waiting++;
                     }
                 }
@@ -1504,19 +1444,20 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     else
                         need_int++;
                     if (ready_at[TIDX(t2)] > now) {
-                        wl_append(w_head, w_tail, TIDX(t2), s);
+                        wl_append(w_head, w_tail, TIDX(t2),
+                                  (int32_t)(2 * (s & WMASK) + 1));
                         waiting++;
                     }
                 }
-                d_rt1[s] = t1;
-                d_rt2[s] = t2;
-                d_ni[s] = (uint8_t)need_int;
-                d_nf[s] = (uint8_t)need_fp;
-                d_wc[s] = (uint8_t)waiting;
-                if (waiting == 0)
-                    h32_push(rh_q, &rh_n, SH_CAP, s);
-                if (g_rc)
-                    goto bail;
+                d->rt1 = t1;
+                d->rt2 = t2;
+                d->ni = (uint8_t)need_int;
+                d->nf = (uint8_t)need_fp;
+                d->wc = (uint8_t)waiting;
+                if (waiting == 0) {
+                    BIT_SET(rdy_bits, s & WMASK);
+                    rdy_n++;
+                }
             }
         }
 
@@ -1531,26 +1472,21 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                     budget = room;
                 while (budget) {
                     int32_t s;
+                    dyn_t *d;
                     if (seq >= n) {
                         exhausted = 1;
                         break;
                     }
                     s = (int32_t)seq;
                     seq++;
-                    d_nb[s] = 0;
-                    d_mra[s] = -1;
-                    d_dra[s] = -1;
-                    d_cat[s] = -1;
-                    d_dtag[s] = -1;
-                    d_dphys[s] = -1;
-                    d_prev[s] = -1;
-                    d_vpr[s] = -1;
-                    d_rt1[s] = -1;
-                    d_rt2[s] = -1;
-                    d_xcnt[s] = 0;
-                    d_fl[s] = 0;
-                    d_ni[s] = d_nf[s] = d_wc[s] = 0;
-                    fb_q[WRAP(fb_h + fb_n, FB_SIZE + 1)] = s;
+                    d = DY(s);
+                    d->seq = s;
+                    d->nb = 0;
+                    d->mra = d->dra = d->cat = -1;
+                    d->dtag = d->dphys = d->prev = d->vpr = -1;
+                    d->rt1 = d->rt2 = -1;
+                    d->xcnt = 0;
+                    d->fl = d->ni = d->nf = d->wc = 0;
                     fb_n++;
                     budget--;
                     if (OP_BR[r_op[s]]) {
@@ -1558,7 +1494,7 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
                             ? r_taken[s] != 0
                             : bht[(r_pc[s] >> 2) & BHT_MASK] >= 2;
                         if (predicted != (r_taken[s] != 0)) {
-                            d_fl[s] |= FL_MISP;
+                            d->fl |= FL_MISP;
                             fetch_resume_at = FAR_FUTURE;
                             break;
                         }
@@ -1574,94 +1510,9 @@ int64_t repro_run(int64_t skip, int64_t n, const int64_t *params,
         /* ---- occupancy integrals + cycle advance -------------------- */
         s_int_occ += pool_npr[0] - pool_phys[0].count;
         s_fp_occ += pool_npr[1] - pool_phys[1].count;
-        if (rh_n || !F_IDLE) {
-            now += 1;
-        } else {
-            int64_t target = now + 1;
-            do {
-                int64_t next_mem = -1, commit_bound = -1,
-                    fetch_bound = -1, best, horizon_bound, skipped, j;
-                int due_mem = 0, fetch_dead, stall_kind = 0;
-                if (exhausted && !fb_n && !rob_n)
-                    break;
-                for (j = 0; j < pm_n; j++) {
-                    int64_t t = d_mra[pm_q[j]];
-                    if (t <= now) {
-                        due_mem = 1;
-                        break;
-                    }
-                    if (next_mem < 0 || t < next_mem)
-                        next_mem = t;
-                }
-                if (due_mem)
-                    break;
-                if (rob_n) {
-                    int32_t h = rob_q[rob_h];
-                    if (d_fl[h] & FL_DONE) {
-                        commit_bound = d_cat[h] + COMMIT_DELAY;
-                        if (commit_bound <= now)
-                            break;
-                    }
-                }
-                fetch_dead = exhausted;
-                if (!fetch_dead && fb_n < FB_SIZE) {
-                    if (fetch_resume_at <= target)
-                        break;
-                    fetch_bound = fetch_resume_at;
-                }
-                if (fb_n) {
-                    int32_t h = fb_q[fb_h];
-                    int hcls = OP_DEST[r_op[h]];
-                    if (rob_n >= ROB_SIZE) {
-                        stall_kind = 1;
-                    } else if (iq_count >= IQ_SIZE) {
-                        stall_kind = 2;
-                    } else if (OP_STORE[r_op[h]] && sq_n >= SQ_CAP) {
-                        stall_kind = 3;
-                    } else if (hcls < 0 || ren_pool[hcls].count) {
-                        break;
-                    } else {
-                        stall_kind = 4;
-                    }
-                }
-                best = ev_n ? evt_t[0] : -1;
-                if (next_mem >= 0 && (best < 0 || next_mem < best))
-                    best = next_mem;
-                if (commit_bound >= 0 && (best < 0 || commit_bound < best))
-                    best = commit_bound;
-                if (fetch_bound >= 0 && (best < 0 || fetch_bound < best))
-                    best = fetch_bound;
-                horizon_bound = last_commit + HORIZON + 1;
-                if (best < 0 || best > horizon_bound)
-                    best = horizon_bound;
-                if (best <= target)
-                    break;
-                skipped = best - target;
-                s_int_occ += skipped * (pool_npr[0] - pool_phys[0].count);
-                s_fp_occ += skipped * (pool_npr[1] - pool_phys[1].count);
-                if (!fetch_dead) {
-                    int64_t stalled =
-                        (best < fetch_resume_at
-                         ? best - 1 : fetch_resume_at - 1) - now;
-                    if (stalled > 0)
-                        s_fetch_stall += stalled;
-                }
-                if (stall_kind == 1)
-                    s_rob_full += skipped;
-                else if (stall_kind == 2)
-                    s_iq_full += skipped;
-                else if (stall_kind == 3)
-                    s_sq_full += skipped;
-                else if (stall_kind == 4)
-                    s_no_reg += skipped;
-                idle_skips++;
-                idle_cycles_skipped += skipped;
-                target = best;
-            } while (0);
-            now = target;
-        }
+        now += 1;
         if (now - last_commit > HORIZON) {
-            deadlock_head = rob_n ? (int64_t)rob_q[rob_h] : -1;
+            deadlock_head = rob_n ? committed : -1;
             g_rc = 1;
             break;
         }
@@ -1692,8 +1543,6 @@ bail:
         counters[K_FETCH_RESUME_AT] = fetch_resume_at;
         counters[K_NEXT_SEQ] = next_seq;
         counters[K_LAST_COMMIT] = last_commit;
-        counters[K_IDLE_SKIPS] = idle_skips;
-        counters[K_IDLE_CYCLES_SKIPPED] = idle_cycles_skipped;
         counters[K_CACHE_LOADS] = c_loads;
         counters[K_CACHE_LOAD_MISSES] = c_load_misses;
         counters[K_CACHE_STORES] = c_stores;

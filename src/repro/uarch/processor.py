@@ -33,25 +33,8 @@ Execution completions are driven by one
 costs time proportional to the work in it, not to the window size.
 Loads between EA computation and their cache access wait in
 ``pending_mem``, a min-heap ordered by sequence number (program order
-decides cache-port priority).
-
-**Idle-cycle skip.**  When a cycle ends with provably nothing to do —
-no ready instructions, no load awaiting a cache retry, no commit
-possible before a known future cycle, fetch blocked (mispredict stall,
-full fetch buffer, or trace exhausted) and rename blocked (or the fetch
-buffer empty) — the engine jumps ``now`` directly to the earliest
-future scheduled event instead of spinning through the empty cycles of
-a long miss stall or a division.  The jump is *exactly* accounted: the
-per-cycle counters the spin would have incremented
-(``fetch_stall_cycles``, the rename-stall cause charged to the oldest
-un-renamed instruction, and the register-occupancy integrals) are bulk
-added for the skipped cycles, so ``SimStats`` is bit-identical with the
-skip on or off (``Processor(config, idle_skip=False)`` disables it; the
-``idle_cycles_skipped`` attribute counts what was saved).  Renamer-
-internal diagnostic counters that are not part of ``SimStats`` (e.g.
-``decode_stalls``) are not spun during skipped cycles.  The deadlock
-horizon bounds every jump, so :class:`SimulationDeadlock` fires at the
-same cycle it would without the skip.
+decides cache-port priority).  The clock advances one cycle per step: an
+idle cycle costs only the stage guards, so nothing jumps over it.
 """
 
 from __future__ import annotations
@@ -87,7 +70,7 @@ class SimulationDeadlock(RuntimeError):
 class Processor:
     """One simulated machine; create a fresh instance per run."""
 
-    def __init__(self, config=None, idle_skip=True, engine=None):
+    def __init__(self, config=None, engine=None):
         self.config = config or ProcessorConfig()
         cfg = self.config
         # Engine tier: the explicit argument wins, else the config field
@@ -127,11 +110,6 @@ class Processor:
         else:  # custom policy without the standard pool layout
             self._int_free = self._fp_free = None
             self._npr_int = self._npr_fp = 0
-        # Side-effect-free stand-in for can_rename() during idle-skip
-        # probing (see RenamingPolicy.rename_gate_pools): can_rename()
-        # itself bumps policy-internal stall diagnostics, which a
-        # speculative probe must not touch.
-        self._rename_gate = renamer.rename_gate_pools()
         # Register-file port/bank contention model; None = the legacy
         # fixed per-class port checks (bit-identical golden stats).
         self.regfile = RegisterFilePorts(cfg) if cfg.rf_model else None
@@ -154,9 +132,6 @@ class Processor:
         self._next_seq = 0
         self._last_commit_cycle = 0
         self._wb_ports = [0, 0]  # reused write-port scratch (INT, FP)
-        self._idle_skip = idle_skip
-        self.idle_skips = 0  # jumps taken (diagnostic)
-        self.idle_cycles_skipped = 0  # cycles not simulated (diagnostic)
         # Precise-exception injection: the K-th committing instruction
         # faults, flushing and replaying everything younger (§3.2.2).
         self._fault_at_commits = set()
@@ -294,7 +269,7 @@ class Processor:
         # (Tag wakeup is folded into publication below: a completing
         # producer publishes its tag and releases waiters in the same
         # cycle, so no separate wakeup queue exists.)
-        events = self.complete_at.pop(now) if self.complete_at.due(now) else ()
+        events = self.complete_at.pop(now)
         if events:
             events.sort(key=_BY_SEQ)
             regfile = self.regfile
@@ -713,92 +688,7 @@ class Processor:
                 RegClass.INT)
             stats.fp_reg_occupancy_sum += renamer.allocated_physical(
                 RegClass.FP)
-        if self._idle_skip and not self.ready_heap:
-            self.now = self._advance(now)
-        else:
-            self.now = now + 1
-
-    def _advance(self, now):
-        """The next cycle to simulate: ``now + 1``, or the next scheduled
-        event when every intermediate cycle is provably a no-op.  Callers
-        guarantee the idle skip is enabled and the ready set is empty."""
-        nxt = now + 1
-        if (self._exhausted and not self.fetch_buffer and not self.rob
-                and not self._replay):
-            return nxt  # drained: the run loop exits at the current cycle
-        # A load past EA computation retries the cache every cycle; one
-        # still waiting for its EA bounds the jump.
-        next_mem = None
-        for _, instr in self.pending_mem:
-            if instr.squashed:
-                continue
-            t = instr.mem_ready_at
-            if t <= now:
-                return nxt
-            if next_mem is None or t < next_mem:
-                next_mem = t
-        rob = self.rob
-        commit_bound = None
-        if rob:
-            head = rob[0]
-            if head.completed:
-                commit_bound = head.completed_at + 1 + self._commit_extra
-                if commit_bound <= now:
-                    return nxt  # a commit is due (or port-blocked): step
-        cfg = self.config
-        buffer = self.fetch_buffer
-        fetch_dead = self._exhausted and not self._replay
-        fetch_bound = None
-        if not fetch_dead and len(buffer) < cfg.fetch_buffer_size:
-            if self.fetch_resume_at <= nxt:
-                return nxt  # fetch runs next cycle
-            fetch_bound = self.fetch_resume_at
-        stall_attr = None
-        if buffer:
-            head = buffer[0]
-            if len(rob) >= cfg.rob_size:
-                stall_attr = "stall_rob_full"
-            elif self.iq_count >= cfg.iq_size:
-                stall_attr = "stall_iq_full"
-            elif head.is_store and self.mem.store_queue.full:
-                stall_attr = "stall_sq_full"
-            elif head.dest_cls is None:
-                return nxt  # dest-less: rename always proceeds
-            elif self._rename_gate is not None:
-                if self._rename_gate[head.dest_cls].free_count:
-                    return nxt  # rename makes progress next cycle
-                stall_attr = "stall_no_reg"
-            elif self.renamer.can_rename(head.rec):
-                return nxt  # rename makes progress next cycle
-            else:
-                stall_attr = "stall_no_reg"
-        bounds = [
-            t for t in (self.complete_at.next_time(),
-                        next_mem, commit_bound, fetch_bound)
-            if t is not None
-        ]
-        horizon_bound = self._last_commit_cycle + cfg.deadlock_horizon + 1
-        target = min(min(bounds), horizon_bound) if bounds else horizon_bound
-        if target <= nxt:
-            return nxt
-        # Bulk-account the counters the skipped no-op cycles would have
-        # incremented, exactly as the spin would.
-        skipped = target - nxt
-        stats = self.stats
-        renamer = self.renamer
-        stats.int_reg_occupancy_sum += (
-            skipped * renamer.allocated_physical(RegClass.INT))
-        stats.fp_reg_occupancy_sum += (
-            skipped * renamer.allocated_physical(RegClass.FP))
-        if not fetch_dead:
-            stalled = min(target - 1, self.fetch_resume_at - 1) - now
-            if stalled > 0:
-                stats.fetch_stall_cycles += stalled
-        if stall_attr is not None:
-            setattr(stats, stall_attr, getattr(stats, stall_attr) + skipped)
-        self.idle_skips += 1
-        self.idle_cycles_skipped += skipped
-        return target
+        self.now = now + 1
 
     # -- event helpers --------------------------------------------------------
 

@@ -107,10 +107,8 @@ class TestCapabilityFlags:
 
         conventional = self.build("conventional")
         assert conventional.phys_pools() is conventional.free
-        assert conventional.rename_gate_pools() is conventional.free
         vp = self.build("vp-writeback", nrr=8)
         assert vp.phys_pools() is vp.free_phys
-        assert vp.rename_gate_pools() is vp.free_vp
         assert RenamingPolicy.phys_pools(vp) is None  # base default
         assert conventional.npr[RegClass.INT] == 64
 

@@ -29,7 +29,7 @@ from repro import experiments
 from repro.core.virtual_physical import AllocationStage
 from repro.experiments.figures import NRR_SWEEP
 from repro.isa.instruction import TraceRecord
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import DEFAULT_FU_COUNTS, FUKind, OpClass
 from repro.memory.cache import CacheConfig
 from repro.obs.metrics import get_registry
 from repro.uarch import enginediff, native
@@ -45,6 +45,8 @@ from repro.trace import generator
 from repro.trace.generator import materialized_trace
 from repro.trace.workloads import load_workload
 
+from tests.conftest import TraceBuilder, r
+
 needs_toolchain = pytest.mark.skipif(
     native.toolchain() is None,
     reason="native tier needs a C toolchain (cc/gcc/clang or $REPRO_CC)")
@@ -54,8 +56,8 @@ def _trace(workload="li", n=6_500, seed=1234):
     return iter(materialized_trace(load_workload(workload), seed, n))
 
 
-def _run(config, engine, workload="li", n=6_000, skip=500, idle=True):
-    processor = Processor(config, idle_skip=idle, engine=engine)
+def _run(config, engine, workload="li", n=6_000, skip=500):
+    processor = Processor(config, engine=engine)
     result = processor.run(_trace(workload, skip + n),
                            max_instructions=n, skip=skip)
     return processor, result.stats.to_dict()
@@ -107,7 +109,7 @@ def test_shrinker_reaches_fixpoint_on_synthetic_failure(monkeypatch):
     monkeypatch.setattr(enginediff, "compare_point", fake)
     noisy = enginediff.default_choice()
     noisy["fus"] = "scarce"
-    noisy["idle_skip"] = False
+    noisy["memory"] = (400, 16, 16)
     noisy["perfect_bp"] = True
     noisy["regs"] = (48, 16)
     small, workload = enginediff.shrink(dict(noisy), "swim")
@@ -334,7 +336,24 @@ FALLBACKS = {
         "native-invariant"),
     "flag-not-boolean": (
         virtual_physical_config(nrr=8), {}, {},
-        {"_param_block": _patched_param_block(F_IDLE=2)},
+        {"_param_block": _patched_param_block(F_PERFECT=2)},
+        "native-invariant"),
+    # An event past the wheel's span is refused, not filed in the bucket
+    # of an earlier cycle: a 1-cycle span cannot hold a 2-cycle hit.
+    "event-past-the-wheel": (
+        virtual_physical_config(nrr=8), {}, {},
+        {"_param_block": _patched_param_block(EV_HORIZON=1)},
+        "native-invariant"),
+    # The wheel has a largest span: a cache whose queued fills can land
+    # past it (50 + 16,399 x 4 cycles) is refused before the C side
+    # allocates anything, and the C side refuses such a span itself.
+    "event-horizon-too-long": (
+        ProcessorConfig(cache=CacheConfig(mshr_entries=16_400)), {}, {}, {},
+        "event-horizon-too-long"),
+    "span-past-the-largest-wheel": (
+        ProcessorConfig(), {}, {},
+        {"_param_block": _patched_param_block(
+            EV_HORIZON=native.MAX_EVENT_HORIZON + 1)},
         "native-invariant"),
     # The tag index is a mask, so the line count must be a power of two
     # (CacheConfig guarantees it; the C side checks it).
@@ -647,6 +666,159 @@ def test_every_line_size_matches_the_interpreter(line_bytes):
     assert runs[1][0].mem.cache._tags == runs[0][0].mem.cache._tags
 
 
+# ---- window-sized state: the ring, the bitmaps and the wheel ------------
+
+
+def _both_tiers(config, records, n, skip=0):
+    """``[(processor, stats), ...]`` of interp then native on ``records``."""
+    runs = []
+    for engine in ("interp", "native"):
+        processor = Processor(config, engine=engine)
+        result = processor.run(iter(records), max_instructions=n, skip=skip)
+        runs.append((processor, result.stats.to_dict()))
+    return runs
+
+
+@needs_toolchain
+def test_a_window_spanning_several_bitmap_words():
+    """ROB + fetch buffer is 163 slots: the ring rounds up to 256, four
+    bitmap words, and the ready and memory walks start at the ROB head's
+    slot anywhere in them and wrap across word boundaries."""
+    config = virtual_physical_config(nrr=16, rob_size=150, iq_size=96,
+                                     fetch_buffer_size=13)
+    runs = [_run(config, engine, workload="swim", n=8_000)
+            for engine in ("interp", "native")]
+    assert runs[1][0].engine_used == "native"
+    assert runs[1][1] == runs[0][1]
+    assert runs[0][1]["peak_rob"] > 128
+
+
+def _miss_burst(count):
+    """``count`` independent loads of distinct cold lines, which issue
+    and reach the cache in one cycle."""
+    tb = TraceBuilder()
+    for i in range(count):
+        tb.load(r(1 + i), r(20), addr=0x10000 + 4096 * i)
+    return tb.build()
+
+
+@needs_toolchain
+def test_the_wheel_holds_the_longest_fill(monkeypatch):
+    """Four misses in one cycle queue four fills back to back on the
+    bus, the last one event_horizon cycles out: the wheel holds it
+    bit-identically, and a span one cycle shorter refuses it."""
+    cache = CacheConfig(miss_penalty=400, bus_cycles_per_line=16,
+                        mshr_entries=4)
+    config = conventional_config(
+        cache=cache, cache_ports=4,
+        fu_counts={**DEFAULT_FU_COUNTS, FUKind.EFF_ADDR: 4})
+    assert native.event_horizon(cache) == 400 + 3 * 16
+    (_, expected), (processor, stats) = _both_tiers(config, _miss_burst(4),
+                                                    4)
+    assert processor.engine_used == "native"
+    assert stats == expected
+    assert processor.mem.cache.bus._free_at == 3 + native.event_horizon(cache)
+    monkeypatch.setattr(native, "_param_block", _patched_param_block(
+        EV_HORIZON=native.event_horizon(cache) - 1))
+    native.clear_cache()
+    (_, expected), (processor, stats) = _both_tiers(config, _miss_burst(4),
+                                                    4)
+    assert processor.engine_used == "interp"
+    assert native.cache_info()["build_failures"] == {"native-invariant": 1}
+    assert stats == dict(expected, engine_fallbacks=1)
+    native.clear_cache()
+
+
+def _store_heavy(count):
+    """Two stores and a load per four instructions; every fourth store
+    base comes from a multiply, so younger loads wait on unknown store
+    addresses and others forward from known ones."""
+    tb = TraceBuilder()
+    for i in range(count):
+        tb.alu(r(2), r(2), op=OpClass.INT_MUL if i % 4 == 0
+               else OpClass.INT_ALU)
+        tb.store(r(2), r(3), addr=0x2000 + 8 * (i % 32))
+        tb.store(r(4), r(2), addr=0x3000 + 8 * (i % 16))
+        tb.load(r(5), r(4), addr=0x3000 + 8 * (i % 16))
+    return tb.build()
+
+
+@needs_toolchain
+@pytest.mark.parametrize("sq_size", [None, 6])
+def test_a_store_heavy_trace_wraps_the_store_queue_ring(sq_size):
+    """1,200 stores through a 64-slot window ring (ROB 32 + fetch buffer
+    8): the store queue and its oldest-unknown pointer wrap nearly
+    twenty times, with and without a store-queue bound."""
+    config = conventional_config(rob_size=32, iq_size=32,
+                                 fetch_buffer_size=8,
+                                 store_queue_size=sq_size)
+    (interp, expected), (processor, stats) = _both_tiers(
+        config, _store_heavy(600), 2_400)
+    assert processor.engine_used == "native"
+    assert stats == expected
+    assert stats["store_forwards"] > 0
+    assert processor.mem.store_queue.waits == interp.mem.store_queue.waits
+    assert interp.mem.store_queue.waits > 0
+    assert (stats["stall_sq_full"] > 0) == bool(sq_size)
+
+
+_GATED_LOADS_RUN = """
+import json
+from repro.isa.instruction import TraceRecord
+from repro.isa.opcodes import OpClass
+from repro.isa.registers import RegClass, make_reg
+from repro.memory.cache import CacheConfig
+from repro.uarch.config import conventional_config
+from repro.uarch.processor import Processor
+
+records = [TraceRecord(0x1000 + 4 * i, OpClass.LOAD_INT,
+                       dest=make_reg(RegClass.INT, 1 + i % 8),
+                       src1=make_reg(RegClass.INT, 20),
+                       addr=0x10000 + 64 * i)
+           for i in range(3_000)]
+config = conventional_config(rob_size=16, iq_size=16, fetch_buffer_size=8,
+                             cache=CacheConfig(mshr_entries=1))
+stats = {}
+for engine in ("interp", "native"):
+    processor = Processor(config, engine=engine)
+    result = processor.run(iter(records), max_instructions=3_000)
+    stats[processor.engine_used] = result.stats.to_dict()
+print(json.dumps(stats))
+"""
+
+
+@needs_toolchain
+def test_loads_sleeping_on_mshrs_with_no_store_to_wake_them(tmp_path):
+    """3,000 missing loads, one MSHR and no store: nearly every load
+    sleeps on the MSHR file and no store commit empties the sleepers'
+    list, which the interpreter lets grow past 2,900 committed loads.
+    The C loop keeps at most a window of them and stays bit-identical.
+    In a child process, so an overrun shows as an exit status."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _GATED_LOADS_RUN], capture_output=True,
+        text=True, timeout=240, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout)
+    assert stats["native"] == stats["interp"]
+    assert stats["native"]["committed"] == 3_000
+
+
+@needs_toolchain
+def test_a_bank_count_that_is_not_a_power_of_two():
+    """Three banks per class: the C loop's bank of a register matches the
+    interpreter's ``ident % banks``."""
+    config = virtual_physical_config(
+        nrr=16, allocation=AllocationStage.ISSUE, rf_model=True, rf_banks=3,
+        rf_bank_read_ports=2, rf_bank_write_ports=1)
+    runs = [_run(config, engine, workload="li", n=4_000)
+            for engine in ("interp", "native")]
+    assert runs[1][0].engine_used == "native"
+    assert runs[1][1] == runs[0][1]
+    assert runs[0][1]["rf_bank_conflicts"] > 0
+
+
 def _flags(processor):
     return tuple(native.native_features(processor)[0].items())
 
@@ -665,7 +837,7 @@ def test_native_key_ignores_sizing_and_flags():
         SIZING_A.with_(rf_model=True),
         SIZING_A.with_(rf_model=True, rf_banks=2, rf_bank_read_ports=2),
         SIZING_A.with_(retry_gating=True),
-    )] + [Processor(SIZING_A, idle_skip=False)]
+    )]
     flag_sets = [_flags(processor) for processor in processors]
     assert len(set(flag_sets)) == len(flag_sets)
     assert {native.native_key(processor) for processor in processors} == {
@@ -681,8 +853,8 @@ def test_param_block_reads_sizing_from_the_config():
     assert [block[name] for name in (
         "FETCH_W", "RENAME_W", "ISSUE_W", "COMMIT_W", "ROB_SIZE", "IQ_SIZE",
         "FB_SIZE", "NPR_INT", "NPR_FP", "NRR_INT", "CACHE_PORTS", "MSHR_N",
-        "NUM_LINES", "FU_N_0", "FU_N_5")] == [
-        4, 4, 4, 4, 48, 24, 6, 96, 80, 24, 1, 2, 64, 1, 1]
+        "NUM_LINES", "FU_N_0", "FU_N_5", "EV_HORIZON")] == [
+        4, 4, 4, 4, 48, 24, 6, 96, 80, 24, 1, 2, 64, 1, 1, 67]
     assert (block["HORIZON"], block["COMMIT_DELAY"]) == (
         SIZING_B.deadlock_horizon, 1 + processor._commit_extra)
 
@@ -877,7 +1049,8 @@ def test_builds_and_the_probe_compile_with_cflags(tmp_path, monkeypatch):
     names = {line.split()[-1] for line in symbols.stdout.splitlines()}
     assert "repro_run" in names
     assert not names & {"pool_alloc", "pool_release", "try_load",
-                        "vp_try_alloc", "sq_slot", "line_of"}
+                        "vp_try_alloc", "line_of", "ev_push", "bits_next",
+                        "wl_append", "ctz64"}
 
 
 @needs_toolchain

@@ -1,12 +1,11 @@
-"""EventWheel edge cases: ring wraparound, overflow promotion, and the
-bulk idle-skip interactions the calendar-queue layout must survive.
+"""EventWheel edge cases: ring wraparound and overflow promotion.
 
 The wheel holds the interpreter's completion events (the native C loop
-keeps an equivalent time-ordered heap), so these pins are about the
-data structure's corners rather than pipeline behaviour: a cycle that
-lands in the overflow map and is then popped after a multi-revolution
-idle skip, same-cycle scheduling after the drain, and slot collisions
-across ring revolutions.
+keeps an equivalent wheel of per-cycle buckets), so these pins are about
+the data structure's corners rather than pipeline behaviour: a cycle
+that lands in the overflow map and is popped several revolutions later,
+same-cycle scheduling after the drain, and slot collisions across ring
+revolutions.
 """
 
 import pytest
@@ -89,35 +88,22 @@ def test_same_cycle_schedule_after_drain():
     assert wheel.pending == 0
 
 
-def test_bulk_idle_skip_crossing_ring_boundary():
-    """next_time() steers the idle skip: jumping the base straight to a
-    far event (skipping more than one ring revolution) must preserve
-    every scheduled bucket and keep due()/next_time() coherent."""
+def test_far_events_survive_ring_revolutions():
+    """Events more than one revolution out wait in the overflow map and
+    are popped on their own cycle as the clock steps one cycle at a
+    time; the cycles between hold nothing."""
     wheel = EventWheel(horizon=8)
     wheel.push(5, "a")
     wheel.push(21, "b")  # beyond one revolution from base 0
     wheel.push(100, "c")  # deep overflow
-    assert wheel.next_time() == 5
-    assert wheel.pop(5) == ["a"]
-    # Idle skip: nothing scheduled between 6 and 20.
-    assert wheel.next_time() == 21
-    assert not wheel.due(20)
-    assert wheel.due(21)
-    assert wheel.pop(21) == ["b"]
-    # Second skip crosses many revolutions into the overflow map.
-    assert wheel.next_time() == 100
-    assert wheel.pop(100) == ["c"]
-    assert wheel.next_time() is None
+    popped = {}
+    for now in range(101):
+        items = wheel.pop(now)
+        if items:
+            popped[now] = items
+    assert popped == {5: ["a"], 21: ["b"], 100: ["c"]}
     assert wheel.pending == 0
-
-
-def test_due_is_nondestructive():
-    wheel = EventWheel(horizon=8)
-    wheel.push(4, "x")
-    assert wheel.due(4)
-    assert wheel.due(4)  # repeated probes must not consume anything
-    assert wheel.pop(4) == ["x"]
-    assert not wheel.due(4)
+    assert not wheel
 
 
 def test_bool_tracks_remaining_events():

@@ -33,6 +33,14 @@ def test_the_grid_is_the_figure_4_and_5_points(tool):
         "conventional", "vp-writeback", "vp-issue"}
 
 
+def test_every_point_has_its_own_label(tool):
+    """Timings are kept per label, so two points sharing one would pool
+    their samples and count the pooled median twice."""
+    labels = {tool.label(*point) for point in tool.points()}
+    assert len(labels) == 117
+    assert "vp-issue/nrr8/swim" in labels
+
+
 def test_a_template_against_itself_reports_ratios(tool, capsys):
     assert tool.main([str(TEMPLATE), str(TEMPLATE), "--points", "2",
                       "--rounds", "1", "--instructions", "2000",

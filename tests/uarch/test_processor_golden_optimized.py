@@ -3,10 +3,10 @@ engine rewrites changed *speed*, never *timing*.
 
 ``data/golden_stats.json`` holds complete ``SimStats.to_dict()`` dumps
 captured from the pre-optimization engine (before the event wheel,
-pre-decoded traces, inlined hot loop, and idle-cycle skip).  Every
-renamer mode on two workloads must still reproduce them bit-for-bit on
-the interpreted reference tier and on the native tier, with the idle
-skip on and off.
+pre-decoded traces, inlined hot loop, and the idle-cycle skip that has
+since been removed again).  Every renamer mode on two workloads must
+still reproduce them bit-for-bit on the interpreted reference tier and
+on the native tier.
 
 The native tier lowers every pinned policy except early-release, whose
 rename hooks stay out-of-line: that one lands on the interpreter with
@@ -59,9 +59,8 @@ TIERS = ("interp", pytest.param("native", marks=pytest.mark.skipif(
 OUT_OF_LINE = {"early_release"}
 
 
-def _run(entry, engine, idle_skip):
-    processor = Processor(CONFIGS[entry["label"]](), idle_skip=idle_skip,
-                          engine=engine)
+def _run(entry, engine):
+    processor = Processor(CONFIGS[entry["label"]](), engine=engine)
     trace = SyntheticTrace(load_workload(entry["workload"]), entry["seed"])
     result = processor.run(trace, max_instructions=entry["instructions"],
                            skip=entry["skip"])
@@ -79,19 +78,9 @@ def _expected_tier(entry, engine):
 @pytest.mark.parametrize("engine", TIERS)
 def test_stats_identical_to_pre_optimization_engine(engine, key):
     entry = GOLDEN[key]
-    processor, result = _run(entry, engine, idle_skip=True)
+    processor, result = _run(entry, engine)
     tier, fallbacks = _expected_tier(entry, engine)
     assert processor.engine_used == tier, (
         f"expected the run on {tier}: {native.cache_info()['build_failures']}")
     assert result.stats.to_dict() == dict(entry["stats"],
                                           engine_fallbacks=fallbacks)
-
-
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-@pytest.mark.parametrize("engine", TIERS)
-def test_idle_skip_changes_nothing(engine, key):
-    entry = GOLDEN[key]
-    _, skipping = _run(entry, engine, idle_skip=True)
-    processor, spinning = _run(entry, engine, idle_skip=False)
-    assert processor.engine_used == _expected_tier(entry, engine)[0]
-    assert skipping.stats.to_dict() == spinning.stats.to_dict()

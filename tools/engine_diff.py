@@ -2,7 +2,7 @@
 """Cross-engine differential sampler — the CI ``engine-matrix`` gate.
 
 Samples the processor configuration space (policies × register files ×
-window shapes × FU mixes × predictor/idle/retry toggles — see
+window shapes × FU mixes × memory latencies × predictor/retry toggles — see
 :mod:`repro.uarch.enginediff`), runs every sampled config on every
 workload under the interpreter and the native tier, and fails if any
 point is not **bit-identical** or silently fell back to the

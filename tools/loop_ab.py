@@ -14,8 +14,11 @@ A's, or the tool stops with exit 1: a loop change that moves a
 statistic is not a speed-up.
 
 It prints, per policy group and in total, the sum over points of each
-variant's per-point median time, and B's ratio to A.  Run with
-``PYTHONPATH=src``, pinned to one CPU for stable numbers::
+variant's per-point median time, and B's ratio to A.  Each point keeps
+its own timings, labelled by group, NRR and workload (:func:`label`).
+Both templates compile behind the current header, so they must read
+the same parameter and counter slots.  Run with ``PYTHONPATH=src``,
+pinned to one CPU for stable numbers::
 
     git show HEAD:src/repro/uarch/native/engine_template.c > /tmp/a.c
     python tools/loop_ab.py /tmp/a.c src/repro/uarch/native/engine_template.c \\
@@ -62,6 +65,14 @@ def points():
             for workload in ALL_BENCHMARKS]
 
 
+def label(group, config, workload):
+    """A point's name: its group, its NRR (VP groups only) and its
+    workload, so the 117 points of :func:`points` have 117 names."""
+    if group == "conventional":
+        return f"{group}/{workload}"
+    return f"{group}/nrr{config.nrr_int}/{workload}"
+
+
 def build(template, directory, name):
     """Compile ``template`` behind the rendered header; the loaded
     library, its entry point declared."""
@@ -92,7 +103,7 @@ class Point:
             raise SystemExit(f"loop-ab: {config.policy} does not run "
                              f"natively ({reason})")
         self.group = group
-        self.label = f"{group}/{workload}"
+        self.label = label(group, config, workload)
         self.params = native._param_block(processor, flags)
         self.columns = trace_columns(load_workload(workload), seed,
                                      skip + instructions)
