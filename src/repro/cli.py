@@ -639,10 +639,12 @@ def cmd_cache_compact(args):
 
     store = ResultStore()
     before = total_bytes(store)
-    segments = len(store.segment_paths())
+    segments = set(store.segment_paths())
     kept, dropped = store.compact(prune_stale=args.prune_stale)
     after = total_bytes(store)
-    print(f"{store.path}: merged {segments} segment(s), kept {kept} "
+    left = segments & set(store.segment_paths())
+    print(f"{store.path}: merged {len(segments - left)} segment(s), "
+          f"left {len(left)} busy for the next compaction, kept {kept} "
           f"records, dropped {dropped} ({before} -> {after} bytes)")
     from repro.uarch import native
 

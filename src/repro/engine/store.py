@@ -18,29 +18,37 @@ still accepted (``repro cache verify`` reports them as *legacy*).
 
 Each :class:`ResultStore` instance appends only to its **own** segment
 file, so any number of processes — local sweep workers, ``repro worker``
-daemons sharing a cache directory over NFS — can write concurrently
-without locks and without ever interleaving bytes inside a record.
-Readers merge the base file and every segment into one index
-(base first, then segments in name order; the newest record for a key
-wins), so a record is visible to other processes as soon as its
-``put`` returns.
+daemons sharing a cache directory — can write concurrently without
+ever interleaving bytes inside a record.  Readers merge the base file
+and every segment into one index (base first, then segments in name
+order; the newest record for a key wins), so a record is visible to
+other processes as soon as its ``put`` returns.
 
 Consistency guarantee: each appended record is written with a *single*
 ``os.write`` of one complete ``line + "\\n"`` to a file opened with
-``O_APPEND``.  POSIX makes such appends atomic with respect to
-concurrent readers and writers of the same file, so a reader never
-observes a torn (half-written) record — it sees the whole line or no
-line at all.  Corrupt or truncated lines (e.g. a hard kill mid-write on
-a non-POSIX filesystem) are skipped on load, and an unwritable cache
-directory degrades the store to a no-op rather than failing the run.
+``O_APPEND``, so records never interleave.  Linux does not make a write
+that spans pages atomic for a concurrent ``read``, so a reader can see
+a line that is still being written: it fails its parse or its CRC and
+is skipped, and the reader picks the record up at its next
+:meth:`ResultStore.refresh`.  Corrupt or truncated lines (e.g. a hard
+kill mid-write) are skipped on load, and a byte that is not UTF-8
+spoils only its own line.  An unwritable cache directory degrades the
+store to a no-op rather than failing the run.
+
+Ownership makes compaction safe against live writers: a ``put`` makes
+its write while holding ``flock(LOCK_SH)`` on a segment that is still
+linked, and :meth:`ResultStore.compact` merges only the segments it
+holds under ``LOCK_EX``, unlinking them after the new base is in
+place.  No segment is merged while a write to it is in flight,
+and no write lands in a segment once it is merged, so compaction never
+loses a record whose ``put`` returned.  These are ``flock`` locks: when
+the directory is shared over NFS, or the host has no :mod:`fcntl`, run
+compaction with writers quiesced, as ``verify(repair=True)`` requires
+everywhere.
 
 Keys combine the spec identity (config content hash × workload × run
 length × seed) with the package's code-version fingerprint, so editing
 any simulator source invalidates every stored result.
-
-:meth:`ResultStore.compact` folds every segment (and superseded base
-records) back into a single fresh ``results.jsonl`` and deletes the
-merged segments — run it between sweeps to keep the directory tidy.
 """
 
 from __future__ import annotations
@@ -52,10 +60,16 @@ import socket
 import time
 import uuid
 import zlib
+from contextlib import ExitStack, contextmanager, suppress
 
 from repro.engine.faults import fault
 from repro.engine.version import code_version
 from repro.uarch.stats import SimResult
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX host: nothing locks
+    fcntl = None
 
 _STORE_FILE = "results.jsonl"
 _SEGMENT_GLOB = "results-*.jsonl"
@@ -82,12 +96,90 @@ def _parse_record(line):
     """
     record = json.loads(line)
     qualified = f"{record['key']}@{record['version']}"
+    if "result" not in record:
+        raise KeyError("result")
     crc = record.get("crc")
     if crc is not None:
         body = {k: v for k, v in record.items() if k != "crc"}
         if _record_crc(body) != crc:
             raise ChecksumError(f"CRC mismatch for key {record['key']!r}")
     return qualified, record
+
+
+def parse_lines(data, parse=json.loads):
+    """Parse every non-blank line of ``data`` (bytes) with ``parse``.
+
+    Yields ``(line number, stripped line, value, error)``: ``value`` is
+    what ``parse`` returned and ``error`` is ``None``, or ``value`` is
+    ``None`` and ``error`` the ``ValueError``/``KeyError``/``TypeError``
+    it raised.  Bytes that are not UTF-8 decode to U+FFFD, so they spoil
+    only their own line.  This one reader serves every JSON-lines file
+    the package writes: store segments, gateway WALs and span logs.
+    """
+    text = data.decode("utf-8", errors="replace")
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value, error = parse(line), None
+        except (ValueError, KeyError, TypeError) as exc:
+            value, error = None, exc
+        yield number, line, value, error
+
+
+@contextmanager
+def directory_lock(directory):
+    """Hold an exclusive ``flock`` on ``directory/.lock`` (waits for it).
+
+    Serializes one maintenance job per directory across processes:
+    native artifact builds, result-store compaction.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX host
+        yield
+        return
+    with open(pathlib.Path(directory) / ".lock", "w") as lockf:
+        fcntl.flock(lockf, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(lockf, fcntl.LOCK_UN)
+
+
+def _try_lock(fd, exclusive):
+    """``flock`` ``fd`` without waiting: False while a peer holds a
+    conflicting lock (True on a host without :mod:`fcntl`)."""
+    if fcntl is None:  # pragma: no cover - non-POSIX host
+        return True
+    mode = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
+    try:
+        fcntl.flock(fd, mode | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    return True
+
+
+def _newest(files, version=None):
+    """Merge store files in order: ``({qualified key: newest line},
+    dropped)``.  Corrupt lines, superseded records and, when ``version``
+    is given, records of any other code version count as dropped."""
+    latest, dropped = {}, 0
+    for data in files:
+        for _, line, parsed, error in parse_lines(data, _parse_record):
+            if error is None and version in (None, parsed[1]["version"]):
+                dropped += parsed[0] in latest  # superseded
+                latest[parsed[0]] = line
+            else:
+                dropped += 1
+    return latest, dropped
+
+
+def _read(path):
+    """The bytes of ``path``, or ``None`` if it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
 
 
 def default_cache_dir():
@@ -149,28 +241,27 @@ class ResultStore:
         except OSError:
             return []
 
-    def _read_files(self):
-        """The base file plus every segment, in merge order."""
-        return [self.path, *self.segment_paths()]
+    def _scan(self):
+        """``(path, bytes)`` of the base file and every segment, in
+        merge order.
+
+        The segments are read before the base: compaction unlinks a
+        segment only after the base holding its records is in place, so
+        every record on disk when the scan starts is in what it reads.
+        """
+        segments = [(path, data) for path in self.segment_paths()
+                    if (data := _read(path)) is not None]
+        base = _read(self.path)
+        return ([] if base is None else [(self.path, base)]) + segments
 
     def _load_index(self):
-        if self._index is not None:
-            return self._index
-        self._index = {}
-        for path in self._read_files():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            qualified, record = _parse_record(line)
-                            self._index[qualified] = record["result"]
-                        except (ValueError, KeyError, TypeError):
-                            continue  # truncated/corrupt/bad-CRC line
-            except OSError:
-                continue
+        if self._index is None:
+            self._index = {}
+            for _, data in self._scan():
+                for _, _, parsed, error in parse_lines(data, _parse_record):
+                    if error is None:
+                        qualified, record = parsed
+                        self._index[qualified] = record["result"]
         return self._index
 
     def refresh(self):
@@ -178,7 +269,7 @@ class ResultStore:
 
         Concurrent writers append to their own segments; a long-lived
         reader calls this to pick up records written after its first
-        load.
+        load (including any line it saw only partly written).
         """
         self._index = None
 
@@ -204,8 +295,13 @@ class ResultStore:
         """Persist one result (appends immediately; best-effort).
 
         The record lands in this store's private segment file as one
-        atomic ``O_APPEND`` write, so concurrent readers of the cache
-        directory either see the whole record or none of it.
+        ``O_APPEND`` write, made while holding ``flock(LOCK_SH)`` on the
+        segment and only while the segment is still linked.  When a
+        compaction holds the segment or has already merged and unlinked
+        it, the record goes to a fresh segment instead: a put never
+        waits for a compaction, and no compaction loses a record whose
+        put returned.  A concurrent reader may see the line before it
+        is complete; it skips it until its next :meth:`refresh`.
 
         The transient ``extra["profile"]`` block (attached by
         ``REPRO_PROFILE`` runs — see :mod:`repro.obs.profile`) is
@@ -236,12 +332,17 @@ class ResultStore:
             data = data[:max(1, len(data) // 2)] + b"\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self._segment(),
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, data)  # one write: never torn for readers
-            finally:
-                os.close(fd)
+            while True:
+                fd = os.open(self._segment(),
+                             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+                try:
+                    if (_try_lock(fd, exclusive=False)
+                            and os.fstat(fd).st_nlink):
+                        os.write(fd, data)  # one write: never interleaved
+                        return
+                finally:
+                    os.close(fd)  # releases the lock
+                self._segment_path = None  # a compaction owns it
         except OSError:
             self._broken = True  # unwritable cache dir: keep simulating
 
@@ -250,147 +351,54 @@ class ResultStore:
     def compact(self, prune_stale=False):
         """Merge every segment and superseded record into a fresh base.
 
-        Reads the base file plus all segments, keeps the newest record
-        per qualified key (``prune_stale=True`` also drops records from
-        older code versions that no current reader can hit), rewrites
-        ``results.jsonl`` atomically (temp file + ``os.replace``), and
-        retires the segments that were merged in.  Corrupt lines are
-        dropped.
+        Reads the base file plus every segment it can own, keeps the
+        newest record per qualified key (``prune_stale=True`` also
+        drops records from older code versions that no current reader
+        can hit), rewrites ``results.jsonl`` atomically (temp file +
+        ``os.replace``), and only then unlinks the merged segments.
+        Corrupt lines are dropped.
 
-        **Safe against live writers.**  A record appended concurrently
-        with compaction is never lost: each segment is retired by
-        *renaming* it out of the read set (a writer's next ``put``
-        recreates a fresh segment at the original path), and the
-        renamed inode is re-read through a held descriptor — including
-        one final check after the unlink — so any record a concurrent
-        ``put`` squeezed in through a pre-rename descriptor is caught
-        and appended to the new base.  Segments created after the scan
-        simply survive to the next compaction.
+        **Safe against live writers, by ownership.**  Compactions of
+        one directory run one at a time (:func:`directory_lock`).  Each
+        takes ``flock(LOCK_EX | LOCK_NB)`` on every segment and reads
+        the segment through that locked descriptor; a segment that a
+        :meth:`put` is writing to is left for the next compaction, and
+        a put that finds its segment locked or unlinked starts a fresh
+        one.  So every record whose put returned is in the new base or
+        in a segment that survives.  This needs working ``flock``; see
+        the module docstring.
 
-        Returns ``(kept, dropped)`` record counts; late-arriving
-        records rescued from a racing writer count as kept.
+        Returns ``(kept, dropped)`` record counts.
         """
-        sources = self._read_files()
-        latest = {}  # qualified key -> json line (last wins, order kept)
-        consumed = {}  # segment path -> bytes merged from it
-        dropped = 0
-        saw_any = False
-
-        def merge_line(line):
-            nonlocal dropped
-            line = line.strip()
-            if not line:
-                return 0
-            try:
-                qualified, record = _parse_record(line)
-            except (ValueError, KeyError, TypeError):
-                dropped += 1  # truncated/corrupt/bad-CRC line
-                return 0
-            if prune_stale and record["version"] != self.version:
-                dropped += 1
-                return 0
-            if qualified in latest:
-                dropped += 1  # superseded earlier record
-            latest[qualified] = line
-            return 1
-
-        for path in sources:
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                continue
-            saw_any = True
-            consumed[path] = len(data)
-            for line in data.decode("utf-8", errors="replace").splitlines():
-                merge_line(line)
-        if not saw_any:
-            return 0, 0
-        tmp_path = self.path.with_suffix(".jsonl.tmp")
         try:
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                for line in latest.values():
-                    fh.write(line + "\n")
-            os.replace(tmp_path, self.path)
+            with directory_lock(self.directory), ExitStack() as files:
+                owned = []  # (path, file held under LOCK_EX)
+                for path in self.segment_paths():
+                    fh = files.enter_context(open(path, "rb"))
+                    if _try_lock(fh.fileno(), exclusive=True):
+                        owned.append((path, fh))
+                base = _read(self.path)
+                if base is None and not owned:
+                    return 0, 0
+                latest, dropped = _newest(
+                    [base or b"", *(fh.read() for _, fh in owned)],
+                    self.version if prune_stale else None)
+                tmp_path = self.path.with_suffix(".jsonl.tmp")
+                try:
+                    with open(tmp_path, "w", encoding="utf-8") as out:
+                        for line in latest.values():
+                            out.write(line + "\n")
+                    os.replace(tmp_path, self.path)
+                finally:
+                    with suppress(OSError):
+                        tmp_path.unlink()
+                for path, _ in owned:
+                    with suppress(OSError):
+                        path.unlink()
         except OSError:
-            try:
-                tmp_path.unlink()
-            except OSError:
-                pass
             return 0, 0
-        kept = len(latest)
-        for path in sources[1:]:
-            kept += self._retire_segment(path, consumed.get(path, 0))
-        if self._segment_path in sources[1:]:
-            self._segment_path = None  # next put starts a fresh segment
         self._index = None  # force a reload from the rewritten files
-        return kept, dropped
-
-    def _retire_segment(self, path, consumed):
-        """Remove one merged segment without losing racing appends.
-
-        Renames the segment (so writers re-open a fresh file at the
-        original path and readers stop seeing the already-merged copy),
-        then drains any bytes appended past ``consumed`` through a held
-        descriptor — re-checking after the unlink, when only a write
-        already in flight through a pre-rename descriptor could still
-        land — and appends those whole lines to the base.  Returns the
-        number of rescued records.
-        """
-        retired = path.with_suffix(".jsonl.compacting")
-        try:
-            os.replace(path, retired)
-            fd = os.open(retired, os.O_RDONLY)
-        except OSError:
-            return 0  # vanished, or another compactor claimed it
-        rescued = 0
-        try:
-            count, consumed = self._drain_tail(fd, consumed)
-            rescued += count
-            try:
-                os.unlink(retired)
-            except OSError:
-                pass
-            # Post-unlink check: a put() that opened the segment before
-            # the rename writes into this (now anonymous) inode; the
-            # descriptor still reads it.
-            count, consumed = self._drain_tail(fd, consumed)
-            rescued += count
-        finally:
-            os.close(fd)
-        return rescued
-
-    def _drain_tail(self, fd, offset):
-        """Append records past ``offset`` of a retired segment to the base.
-
-        Reads until two consecutive size checks agree (a racing writer
-        appends whole lines, so the tail always ends on a newline once
-        quiescent), then appends the complete lines to ``results.jsonl``
-        with one ``O_APPEND`` write — later lines win on merge, so the
-        rescued records override nothing newer.  Returns
-        ``(record count, new offset)``.
-        """
-        tail = b""
-        while True:
-            size = os.fstat(fd).st_size
-            if size <= offset + len(tail):
-                break
-            os.lseek(fd, offset + len(tail), os.SEEK_SET)
-            tail += os.read(fd, size - offset - len(tail))
-        offset += len(tail)
-        if not tail.rstrip():
-            return 0, offset
-        lines = [line for line in tail.split(b"\n") if line.strip()]
-        try:
-            base_fd = os.open(self.path,
-                              os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(base_fd, b"\n".join(lines) + b"\n")
-            finally:
-                os.close(base_fd)
-        except OSError:
-            return 0, offset
-        return len(lines), offset
+        return len(latest), dropped
 
     def stats(self):
         """Operator-facing store summary (``repro cache stats``).
@@ -411,35 +419,18 @@ class ResultStore:
         ``workload:`` component, so an operator can see which
         benchmarks dominate a serving cache without grepping JSONL.
         """
-        seen = {}  # qualified key -> workload
-        lines = corrupt = crc_failures = total_bytes = files = 0
-        paths = [path for path in self._read_files()]
-        segments = 0
-        for position, path in enumerate(paths):
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                continue
-            files += 1
-            segments += position > 0
-            total_bytes += len(data)
-            for line in data.decode("utf-8", errors="replace").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+        seen = {}  # qualified key -> (workload, version)
+        lines = corrupt = crc_failures = 0
+        files = self._scan()
+        for _, data in files:
+            for _, _, parsed, error in parse_lines(data, _parse_record):
                 lines += 1
-                try:
-                    qualified, record = _parse_record(line)
-                    key = record["key"]
-                except ChecksumError:
+                if error is not None:
                     corrupt += 1
-                    crc_failures += 1
+                    crc_failures += isinstance(error, ChecksumError)
                     continue
-                except (ValueError, KeyError, TypeError):
-                    corrupt += 1
-                    continue
-                workload = str(key).partition(":")[0] or "?"
+                qualified, record = parsed
+                workload = str(record["key"]).partition(":")[0] or "?"
                 seen[qualified] = (workload, str(record["version"]))
         workloads, versions = {}, {}
         for workload, version in seen.values():
@@ -455,9 +446,9 @@ class ResultStore:
             pass
         return {
             "directory": str(self.directory),
-            "files": files,
-            "segments": segments,
-            "bytes": total_bytes,
+            "files": len(files),
+            "segments": sum(path != self.path for path, _ in files),
+            "bytes": sum(len(data) for _, data in files),
             "records": len(seen),
             "lines": lines,
             "superseded": lines - corrupt - len(seen),
@@ -498,35 +489,20 @@ class ResultStore:
                   "crc_failures": 0, "bad": [], "repaired": 0,
                   "quarantine": None}
         bad_lines = []
-        for path in self._read_files():
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                continue
+        for path, data in self._scan():
             report["files"] += 1
             keep = []
             bad_here = 0
-            text = data.decode("utf-8", errors="replace")
-            for number, raw in enumerate(text.splitlines(), 1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    _, record = _parse_record(line)
-                except ChecksumError:
-                    report["crc_failures"] += 1
-                except (ValueError, KeyError, TypeError):
-                    pass
-                else:
+            for number, line, parsed, error in parse_lines(
+                    data, _parse_record):
+                if error is None:
                     report["records"] += 1
-                    if "crc" in record:
-                        report["checked"] += 1
-                    else:
-                        report["legacy"] += 1
+                    report["checked" if "crc" in parsed[1]
+                           else "legacy"] += 1
                     keep.append(line)
                     continue
                 report["corrupt"] += 1
+                report["crc_failures"] += isinstance(error, ChecksumError)
                 report["bad"].append(f"{path.name}:{number}")
                 bad_lines.append(line)
                 bad_here += 1
@@ -539,10 +515,8 @@ class ResultStore:
                     os.replace(tmp, path)
                     report["repaired"] += bad_here
                 except OSError:
-                    try:
+                    with suppress(OSError):
                         tmp.unlink()
-                    except OSError:
-                        pass
         if repair and bad_lines and report["repaired"]:
             quarantine = (self.directory
                           / f"corrupt-{int(time.time())}.jsonl")

@@ -9,10 +9,12 @@ dispatch, and the worker TCP protocol (an optional, version-tolerant
 durations, outcome, and engine tier — to JSONL segments under
 ``REPRO_CACHE_DIR/telemetry/``.
 
-Writes use the same torn-line-free discipline as the result store:
-one ``os.write`` per record to an ``O_APPEND`` descriptor, one
-segment per writer (``spans-<host>-<pid>-<token>.jsonl``), so
-concurrent workers never interleave partial lines.
+Writes use the result store's append discipline: one ``os.write`` per
+record to an ``O_APPEND`` descriptor, one segment per writer
+(``spans-<host>-<pid>-<token>.jsonl``), so concurrent workers never
+interleave partial lines.  Reads go through the store's line reader,
+so a line still being written, torn by a crash or holding a byte that
+is not UTF-8 is skipped on its own.
 
 In-process propagation is a thread-local (:func:`trace_context` /
 :func:`current_trace`); cross-process propagation is explicit via the
@@ -116,7 +118,7 @@ def telemetry_dir(directory=None):
 
 
 class SpanLog:
-    """Append-only JSONL span writer with torn-line-free appends.
+    """Append-only JSONL span writer, one whole line per write.
 
     One segment per writer process (``spans-<host>-<pid>-<tok>.jsonl``)
     opened ``O_APPEND``; each span is serialised to one line and
@@ -210,6 +212,31 @@ def record_span(phase, name, start, duration, trace=None, parent=None,
     return span_id
 
 
+def _parse_span(line):
+    """One span line as a dict; raises on a malformed line."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise TypeError("a span record is a JSON object")
+    return record
+
+
+def _span_segments(directory):
+    """The bytes of every readable span segment, in name order."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return []
+    segments = []
+    for fname in names:
+        if fname.startswith("spans-") and fname.endswith(".jsonl"):
+            try:
+                with open(os.path.join(directory, fname), "rb") as fh:
+                    segments.append(fh.read())
+            except OSError:
+                continue
+    return segments
+
+
 def read_spans(directory=None, trace=None):
     """Read span records from every segment in the telemetry dir.
 
@@ -217,34 +244,13 @@ def read_spans(directory=None, trace=None):
     :func:`telemetry_stats`); ``trace`` filters to one trace id.
     Records are returned sorted by start time.
     """
-    directory = telemetry_dir(directory)
-    spans = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return spans
-    for fname in names:
-        if not (fname.startswith("spans-")
-                and fname.endswith(".jsonl")):
-            continue
-        try:
-            with open(os.path.join(directory, fname), "r",
-                      encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    if trace is not None and record.get("trace") != trace:
-                        continue
-                    spans.append(record)
-        except OSError:
-            continue
+    from repro.engine.store import parse_lines
+
+    spans = [record
+             for data in _span_segments(telemetry_dir(directory))
+             for _, _, record, error in parse_lines(data, _parse_span)
+             if error is None
+             and (trace is None or record.get("trace") == trace)]
     spans.sort(key=lambda r: (r.get("start", 0), r.get("span", "")))
     return spans
 
@@ -255,30 +261,14 @@ def telemetry_stats(directory=None):
     Returns ``{"directory", "segments", "bytes", "spans", "corrupt"}``
     — the shape ``repro cache stats`` folds into its report.
     """
+    from repro.engine.store import parse_lines
+
     directory = telemetry_dir(directory)
     stats = {"directory": directory, "segments": 0, "bytes": 0,
              "spans": 0, "corrupt": 0}
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return stats
-    for fname in names:
-        if not (fname.startswith("spans-")
-                and fname.endswith(".jsonl")):
-            continue
-        path = os.path.join(directory, fname)
-        try:
-            stats["bytes"] += os.path.getsize(path)
-            stats["segments"] += 1
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        json.loads(line)
-                        stats["spans"] += 1
-                    except ValueError:
-                        stats["corrupt"] += 1
-        except OSError:
-            continue
+    for data in _span_segments(directory):
+        stats["segments"] += 1
+        stats["bytes"] += len(data)
+        for _, _, _, error in parse_lines(data, _parse_span):
+            stats["spans" if error is None else "corrupt"] += 1
     return stats

@@ -22,9 +22,11 @@ persisted by the engine's store before their WAL record was written,
 so recovery serves them back bit-identically without re-simulating.
 
 Appends use the same single-``os.write``/``O_APPEND`` discipline as the
-result store, and every method is best-effort: an unwritable cache
-directory downgrades the gateway to the old forgetful behavior instead
-of failing requests.
+result store, and recovery reads through the store's line reader
+(:func:`~repro.engine.store.parse_lines`), so a torn or undecodable
+line costs only itself.  Every method is best-effort: an unwritable
+cache directory downgrades the gateway to the old forgetful behavior
+instead of failing requests.
 """
 
 from __future__ import annotations
@@ -33,9 +35,18 @@ import json
 import os
 import pathlib
 
-from repro.engine.store import default_cache_dir
+from repro.engine.store import default_cache_dir, parse_lines
 
 __all__ = ["JobJournal", "default_journal_dir"]
+
+
+def _parse_entry(line):
+    """One WAL line as a dict with an ``event`` (and an int ``index``
+    for a point); raises on a malformed line."""
+    entry = json.loads(line)
+    if entry["event"] == "point":
+        entry["index"] = int(entry["index"])
+    return entry
 
 
 def default_journal_dir():
@@ -67,7 +78,7 @@ class JobJournal:
             fd = os.open(self.path_for(job_id),
                          os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
             try:
-                os.write(fd, data)  # one write: never torn for readers
+                os.write(fd, data)  # one write: never interleaved
             finally:
                 os.close(fd)
         except OSError:
@@ -121,25 +132,19 @@ class JobJournal:
         records = []
         for path in paths:
             try:
-                text = path.read_text(encoding="utf-8")
+                data = path.read_bytes()
             except OSError:
                 continue
             submit, done, ended = None, set(), False
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    event = entry.get("event")
-                    if event == "submit":
-                        submit = entry
-                    elif event == "point":
-                        done.add(int(entry["index"]))
-                    elif event == "end":
-                        ended = True
-                except (ValueError, KeyError, TypeError):
+            for _, _, entry, error in parse_lines(data, _parse_entry):
+                if error is not None:
                     continue  # torn mid-append; later records still count
+                if entry["event"] == "submit":
+                    submit = entry
+                elif entry["event"] == "point":
+                    done.add(entry["index"])
+                elif entry["event"] == "end":
+                    ended = True
             if ended or submit is None or not submit.get("id"):
                 continue
             records.append({

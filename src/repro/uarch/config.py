@@ -134,6 +134,9 @@ class ProcessorConfig:
             raise ValueError("pipeline widths must be at least 1")
         if self.rob_size < 1 or self.iq_size < 1:
             raise ValueError("window structures need at least one entry")
+        if self.store_queue_size is not None and self.store_queue_size < 1:
+            raise ValueError("store_queue_size must be >= 1 (None = "
+                             "unbounded)")
         if self.rf_model:
             # An instruction reads at most two registers of one class
             # per issue, so two read ports (per class; per bank when

@@ -70,7 +70,6 @@ import os
 import subprocess
 import tempfile
 from array import array
-from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,11 +79,6 @@ from repro.core.virtual_physical import VirtualPhysicalRenamer
 from repro.isa.opcodes import FUKind, OP_DECODE
 from repro.isa.registers import CLASS_SHIFT, RegClass
 from repro.obs import metrics as _metrics
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX host
-    fcntl = None
 
 #: native-run failures by reason (diagnostics; reset per process).
 build_failures: dict[str, int] = {}
@@ -462,20 +456,6 @@ def _param_block(processor, flags):
 # -- artifact build + load ---------------------------------------------------
 
 
-@contextmanager
-def _build_lock(directory):
-    """Cross-process exclusive lock serializing artifact builds."""
-    if fcntl is None:  # pragma: no cover - non-POSIX host
-        yield
-        return
-    with open(directory / ".lock", "w") as lockf:
-        fcntl.flock(lockf, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(lockf, fcntl.LOCK_UN)
-
-
 def _declare(lib):
     lib.repro_run.restype = ctypes.c_int64
     lib.repro_run.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
@@ -519,7 +499,9 @@ def build_library(processor):
             directory.mkdir(parents=True, exist_ok=True)
         except OSError:
             return _failed("cache-dir-unwritable")
-        with _build_lock(directory):
+        from repro.engine.store import directory_lock
+
+        with directory_lock(directory):
             if not so_path.exists():  # a peer may have built it meanwhile
                 source = render_header() + _template_text()
                 src_path = directory / f"{name[:-3]}.c"

@@ -89,6 +89,28 @@ class TestSpanLog:
         assert stats["corrupt"] == 1
         assert stats["segments"] == 1
 
+    def _bad_byte_between_two_spans(self, directory):
+        trace = new_trace_id()
+        record_span("run", "first", 1.0, 0.5, trace=trace,
+                    directory=directory)
+        (segment,) = (directory / "telemetry").iterdir()
+        with open(segment, "ab") as fh:
+            fh.write(b"\xff\n")  # not UTF-8
+        record_span("run", "second", 2.0, 0.5, trace=trace,
+                    directory=directory)
+        return trace
+
+    def test_undecodable_byte_is_skipped_by_read_spans(self, tmp_path):
+        trace = self._bad_byte_between_two_spans(tmp_path)
+        spans = read_spans(directory=tmp_path, trace=trace)
+        assert [s["name"] for s in spans] == ["first", "second"]
+
+    def test_undecodable_byte_is_counted_by_telemetry_stats(self,
+                                                            tmp_path):
+        self._bad_byte_between_two_spans(tmp_path)
+        stats = telemetry_stats(directory=tmp_path)
+        assert (stats["spans"], stats["corrupt"]) == (2, 1)
+
 
 class TestRecordSpan:
     def test_untraced_spans_are_dropped(self, tmp_path):

@@ -126,6 +126,13 @@ class TestValidation:
             client.submit([{"bogus": True}])
         assert err.value.status == 400
 
+    def test_empty_store_queue_rejected(self, client):
+        spec_dict = grid()[0].to_dict()
+        spec_dict["config"]["store_queue_size"] = 0
+        with pytest.raises(GatewayError) as err:
+            client.submit([spec_dict])
+        assert err.value.status == 400
+
     def test_unknown_job_404(self, client):
         with pytest.raises(GatewayError) as err:
             client.status("does-not-exist")

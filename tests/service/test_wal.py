@@ -86,6 +86,18 @@ class TestJournalRobustness:
         assert len(records) == 1
         assert records[0]["done"] == {0, 1}
 
+    def test_undecodable_byte_is_skipped(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        job = make_job()
+        journal.record_submit(job)
+        with open(journal.path_for(job.job_id), "ab") as fh:
+            fh.write(b"\xff\n")  # not UTF-8: must not block a restart
+        journal.record_point(job.job_id, 1)
+
+        (record,) = journal.unfinished()
+        assert record["id"] == job.job_id
+        assert record["done"] == {1}
+
     def test_wal_without_submit_is_skipped(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.record_point("orphan", 0)

@@ -315,6 +315,30 @@ class TestCommands:
         assert stats["workloads"] == {"go": 1}
         assert stats["bytes"] > 0
 
+    def test_cache_compact_reports_merged_and_busy(self, capsys,
+                                                     monkeypatch, tmp_path):
+        import fcntl
+
+        from repro.engine import ResultStore, RunSpec, execute_spec
+        from repro.uarch.config import conventional_config
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = RunSpec("go", conventional_config()).resolved(400, 100, 1)
+        result = execute_spec(spec)
+        ResultStore().put(spec.key(), result)
+        (free,) = ResultStore().segment_paths()
+        ResultStore().put("go:busy:400:100:1", result)
+        (busy,) = set(ResultStore().segment_paths()) - {free}
+        with open(busy, "rb") as held:
+            fcntl.flock(held, fcntl.LOCK_SH)  # as put() holds it to write
+            assert main(["cache", "compact"]) == 0
+        assert ("merged 1 segment(s), left 1 busy"
+                in capsys.readouterr().out)
+        assert main(["cache", "compact"]) == 0
+        assert ("merged 1 segment(s), left 0 busy"
+                in capsys.readouterr().out)
+        assert ResultStore().segment_paths() == []
+
     def test_cache_stats_empty_store(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["cache", "stats"]) == 0

@@ -60,6 +60,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessorConfig(rob_size=0)
 
+    def test_empty_store_queue_rejected(self):
+        # A store queue with no entry can never take a store; None is the
+        # one spelling of "unbounded", on both engine tiers.
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="store_queue_size"):
+                ProcessorConfig(store_queue_size=size)
+        assert ProcessorConfig(store_queue_size=1).store_queue_size == 1
+        assert ProcessorConfig().store_queue_size is None  # unbounded
+
     def test_vp_nrr_range_checked(self):
         with pytest.raises(ValueError):
             virtual_physical_config(nrr=40)  # max 32 at 64 regs
