@@ -83,6 +83,19 @@ class TestBaselineGate:
                                          max_regression=0.30)
         assert ok
 
+    def test_tier_mismatch_refused(self):
+        """The committed baseline is an interpreter report: a run whose
+        points went native (``auto`` takes it wherever it can) must be
+        refused, not compared against the interpreter's floor."""
+        baseline = {"median_kips": 100.0, "engine": "interp"}
+        native = {"median_kips": 500.0, "runs": {
+            "go/conventional": {"kips": 500.0, "engine_used": "native"}}}
+        ok, message = perf.compare_to_baseline(native, baseline)
+        assert not ok and "tier mismatch" in message
+        interp = {"median_kips": 90.0, "runs": {
+            "go/conventional": {"kips": 90.0, "engine_used": "interp"}}}
+        assert perf.compare_to_baseline(interp, baseline)[0]
+
     def test_committed_baseline_is_valid(self):
         baseline = json.loads(BASELINE.read_text())
         assert baseline["median_kips"] > 0

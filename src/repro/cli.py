@@ -620,8 +620,11 @@ def cmd_engines(args):
               "to interp, counted in SimStats.engine_fallbacks")
     if rc:
         print(f"auto resolves to nothing: REPRO_ENGINE: {auto['error']}")
-    else:
+    elif report["auto_reason"] == "REPRO_ENGINE":
         print(f"auto resolves to: {auto} (REPRO_ENGINE overrides)")
+    else:
+        print(f"auto resolves to: {auto} ({report['auto_reason']}; "
+              "REPRO_ENGINE overrides)")
     return rc
 
 
@@ -727,13 +730,27 @@ def cmd_cache_verify(args):
     return 0
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args):
-    """Run the simulation-as-a-service HTTP gateway (blocks)."""
+    """Run the simulation-as-a-service HTTP gateway (blocks).
+
+    The gateway never waits on a compiler: the native build is deferred
+    from start-up (in the pool workers it forks too) and runs in the
+    background once the first round is answered; until the library
+    loads, ``auto`` points run on the interpreter.  SIGINT and SIGTERM
+    both stop it, killing and reaping any compiler still running.
+    """
     import asyncio
+    import signal
 
     from repro.engine import BatchEngine, ResultStore, make_executor
     from repro.service import DEFAULT_GATEWAY_PORT, Gateway, JobJournal
+    from repro.uarch import native
 
+    native.defer_builds()
     store = None if args.no_cache else ResultStore()
     executor = make_executor(args.jobs, kind=args.executor,
                              workers=args.workers,
@@ -766,10 +783,13 @@ def cmd_serve(args):
             print(f"repro serve: resumed {gw.resumed_jobs} unfinished "
                   f"job(s) from {gw.journal.directory}", flush=True)
 
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         asyncio.run(gateway.serve_forever(on_ready))
     except KeyboardInterrupt:
         pass
+    finally:
+        native.stop_builds()
     print(f"repro serve: stopped after {gateway.requests} request(s), "
           f"{gateway.points_executed} point(s) executed")
     return 0

@@ -4,8 +4,11 @@
 :class:`~repro.engine.spec.RunSpec`\\ s and returns their results in
 spec order.  For each spec it consults, in order:
 
-1. the in-process memo (same object returned for repeated specs),
+1. the in-process memo (same object returned for repeated specs) of
+   an engine without a store, bounded by :data:`MEMO_ENTRIES`,
 2. the persistent :class:`~repro.engine.store.ResultStore` (if any),
+   which answers every key an earlier batch produced, so an engine
+   with a store holds a result only for the batch that produced it,
 3. the executor, which simulates the remaining misses — deduplicated,
    so a grid that names the conventional baseline nine times runs it
    once.
@@ -22,6 +25,7 @@ kept per ``run()`` call so callers can report cache effectiveness.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.engine.executors import SerialExecutor, make_executor
@@ -35,6 +39,15 @@ _POINTS = _metrics.get_registry().counter(
 _BATCH_SECONDS = _metrics.get_registry().histogram(
     "repro_engine_batch_seconds",
     "Wall-clock duration of BatchEngine executor windows.")
+_RUNS = _metrics.get_registry().counter(
+    "repro_engine_runs_total",
+    "Points the batch engine executed, by the cycle-engine tier that "
+    "ran them (interp/native).",
+    labelnames=("tier",))
+
+#: Results an engine without a store keeps across batches (the least
+#: recently used go first).
+MEMO_ENTRIES = 1024
 
 
 @dataclass
@@ -62,7 +75,7 @@ class BatchEngine:
         self.executor = executor or SerialExecutor()
         self.store = store
         self.progress = progress
-        self._memo = {}  # key -> SimResult
+        self._memo = OrderedDict()  # key -> SimResult, storeless only
         self.last_batch = BatchStats()
 
     @classmethod
@@ -128,14 +141,19 @@ class BatchEngine:
         keys = [spec.key() for spec in specs]
         batch = BatchStats(keys=list(dict.fromkeys(keys)))
         scan_started = time.time()
+        found = {}  # key -> this batch's result, served or executed
         pending = {}  # key -> spec, deduplicated, submission order
         for spec, key in zip(specs, keys):
-            if key in pending or key in self._memo:
+            if key in pending or key in found:
+                continue
+            if key in self._memo:
+                self._memo.move_to_end(key)
+                found[key] = self._memo[key]
                 continue
             if self.store is not None:
                 stored = self.store.get(key)
                 if stored is not None:
-                    self._memo[key] = stored
+                    found[key] = stored
                     batch.store_hits += 1
                     continue
             pending[key] = spec
@@ -156,7 +174,7 @@ class BatchEngine:
         # Cache hits flush first: every position already servable.
         for position, key in enumerate(keys):
             if key not in pending:
-                yield position, specs[position], self._memo[key]
+                yield position, specs[position], found[key]
         if not pending:
             return
         positions = {}  # key -> positions awaiting the executed result
@@ -186,7 +204,13 @@ class BatchEngine:
                 for index, result in stream:
                     key, spec = items[index]
                     run_trace = key_traces.get(key)
-                    self._memo[key] = result
+                    found[key] = result
+                    self._remember(key, result)
+                    # The tier that ran; a remote worker's result does
+                    # not say, so its span keeps the requested one.
+                    tier = result.engine_used
+                    if tier is not None:
+                        _RUNS.inc(tier=tier)
                     if run_trace is not None:
                         _tracing.record_span(
                             "run", "engine.run", dispatch_started,
@@ -195,8 +219,8 @@ class BatchEngine:
                             attrs={"key": key,
                                    "workload": spec.workload,
                                    "label": spec.label,
-                                   "engine": getattr(spec.config,
-                                                     "engine", ""),
+                                   "engine": tier or getattr(
+                                       spec.config, "engine", ""),
                                    "engine_fallbacks":
                                        result.stats.engine_fallbacks})
                     if self.store is not None:
@@ -235,6 +259,14 @@ class BatchEngine:
         report = getattr(self.executor, "last_run_report", None)
         if isinstance(report, dict) and report.get("degraded"):
             batch.degraded = report["degraded"]
+
+    def _remember(self, key, result):
+        """Keep an executed result for later batches: only without a
+        store (a store answers them), at most :data:`MEMO_ENTRIES`."""
+        if self.store is None:
+            self._memo[key] = result
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
 
     def run_one(self, spec):
         """Convenience wrapper: a one-spec batch."""

@@ -393,10 +393,6 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                                          f"{type(exc).__name__}: {exc}"}
             elif op == "shutdown":
                 response = server.status()
-                # shutdown() blocks until serve_forever() returns, so it
-                # must run outside this handler thread.
-                threading.Thread(target=server.shutdown,
-                                 daemon=True).start()
             else:
                 response = {"ok": False, "kind": "protocol",
                             "error": f"unknown op {op!r}"}
@@ -417,6 +413,12 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             if fault("worker.slow_reply"):
                 time.sleep(fault_delay("worker.slow_reply", 1.0))
         self._reply(response)
+        if op == "shutdown" and response.get("ok"):
+            # Only after the reply is written: once serve_forever()
+            # returns, the daemon may exit and take this thread with
+            # it.  shutdown() blocks until then, so it runs outside
+            # this handler thread.
+            threading.Thread(target=server.shutdown, daemon=True).start()
 
     def _reply(self, response):
         try:

@@ -22,7 +22,11 @@ daemons sharing a cache directory — can write concurrently without
 ever interleaving bytes inside a record.  Readers merge the base file
 and every segment into one index (base first, then segments in name
 order; the newest record for a key wins), so a record is visible to
-other processes as soon as its ``put`` returns.
+other processes as soon as its ``put`` returns.  The index holds where
+each record is — ``(file, byte offset, length)`` — not the record:
+:meth:`ResultStore.get` re-reads the line and checks its CRC, so a
+long-lived reader holds a few dozen bytes per record, and a record that
+rotted after it was indexed is not served.
 
 Consistency guarantee: each appended record is written with a *single*
 ``os.write`` of one complete ``line + "\\n"`` to a file opened with
@@ -109,23 +113,26 @@ def _parse_record(line):
 def parse_lines(data, parse=json.loads):
     """Parse every non-blank line of ``data`` (bytes) with ``parse``.
 
-    Yields ``(line number, stripped line, value, error)``: ``value`` is
+    Yields ``(line number, (start, end), stripped line, value, error)``:
+    ``data[start:end]`` is the line without its newline; ``value`` is
     what ``parse`` returned and ``error`` is ``None``, or ``value`` is
     ``None`` and ``error`` the ``ValueError``/``KeyError``/``TypeError``
     it raised.  Bytes that are not UTF-8 decode to U+FFFD, so they spoil
     only their own line.  This one reader serves every JSON-lines file
     the package writes: store segments, gateway WALs and span logs.
     """
-    text = data.decode("utf-8", errors="replace")
-    for number, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
+    start = 0
+    for number, raw in enumerate(data.split(b"\n"), 1):
+        span = (start, start + len(raw))
+        start = span[1] + 1
+        line = raw.decode("utf-8", errors="replace").strip()
         if not line:
             continue
         try:
             value, error = parse(line), None
         except (ValueError, KeyError, TypeError) as exc:
             value, error = None, exc
-        yield number, line, value, error
+        yield number, span, line, value, error
 
 
 @contextmanager
@@ -165,7 +172,7 @@ def _newest(files, version=None):
     is given, records of any other code version count as dropped."""
     latest, dropped = {}, 0
     for data in files:
-        for _, line, parsed, error in parse_lines(data, _parse_record):
+        for _, _, line, parsed, error in parse_lines(data, _parse_record):
             if error is None and version in (None, parsed[1]["version"]):
                 dropped += parsed[0] in latest  # superseded
                 latest[parsed[0]] = line
@@ -180,6 +187,22 @@ def _read(path):
         return path.read_bytes()
     except OSError:
         return None
+
+
+def _read_record(where, qualified):
+    """The result dict of the record for ``qualified`` at ``where`` —
+    ``(path, offset, length)`` of its line — or ``None`` when that line
+    is gone, holds another record, or fails its parse or CRC."""
+    path, offset, length = where
+    try:
+        with open(path, "rb") as fh:
+            raw = os.pread(fh.fileno(), length, offset)
+    except OSError:
+        return None
+    for _, _, _, parsed, error in parse_lines(raw, _parse_record):
+        if error is None and parsed[0] == qualified:
+            return parsed[1]["result"]
+    return None
 
 
 def default_cache_dir():
@@ -207,8 +230,9 @@ class ResultStore:
     Each instance lazily creates its own segment file on first
     :meth:`put` and reads the union of the base file and every segment.
     All methods are best-effort with respect to I/O errors: an
-    unwritable directory silently disables persistence (the in-memory
-    index keeps serving the current process).
+    unwritable directory silently disables persistence (the records it
+    could not write stay in memory and keep serving the current
+    process).
 
     Parameters
     ----------
@@ -223,7 +247,10 @@ class ResultStore:
         self.directory = pathlib.Path(directory or default_cache_dir())
         self.path = self.directory / _STORE_FILE
         self.version = version or code_version()
-        self._index = None  # qualified key -> result dict (lazy)
+        # qualified key -> (path, offset, length) of its newest line, or
+        # the result dict of a put that could not be written (lazy)
+        self._index = None
+        self._unwritten = {}  # qualified key -> result dict, never on disk
         self._broken = False
         self._segment_path = None  # created on first put
 
@@ -257,11 +284,12 @@ class ResultStore:
     def _load_index(self):
         if self._index is None:
             self._index = {}
-            for _, data in self._scan():
-                for _, _, parsed, error in parse_lines(data, _parse_record):
+            for path, data in self._scan():
+                for _, (start, end), _, parsed, error in parse_lines(
+                        data, _parse_record):
                     if error is None:
-                        qualified, record = parsed
-                        self._index[qualified] = record["result"]
+                        self._index[parsed[0]] = (path, start, end - start)
+            self._index.update(self._unwritten)
         return self._index
 
     def refresh(self):
@@ -274,14 +302,28 @@ class ResultStore:
         self._index = None
 
     def get(self, key):
-        """The stored :class:`SimResult` for ``key``, or ``None``."""
-        record = self._load_index().get(self._qualified(key))
-        if record is None:
-            return None
-        try:
-            return SimResult.from_dict(record)
-        except (TypeError, ValueError):
-            return None
+        """The stored :class:`SimResult` for ``key``, or ``None``.
+
+        Re-reads the record's line where the index says it is and checks
+        its CRC.  When the line no longer holds the record (a compaction
+        merged and unlinked its segment, or rewrote the base), the index
+        is reloaded once; a record that fails its CRC is not served.
+        """
+        qualified = self._qualified(key)
+        for reload in (False, True):
+            if reload:
+                self._index = None
+            where = self._load_index().get(qualified)
+            if where is None:
+                return None
+            record = (where if isinstance(where, dict)
+                      else _read_record(where, qualified))
+            if record is not None:
+                try:
+                    return SimResult.from_dict(record)
+                except (TypeError, ValueError):
+                    return None
+        return None
 
     # -- writing -----------------------------------------------------
 
@@ -313,8 +355,10 @@ class ResultStore:
         if isinstance(extra, dict) and "profile" in extra:
             record["extra"] = {k: v for k, v in extra.items()
                                if k != "profile"}
-        self._load_index()[self._qualified(key)] = record
+        qualified = self._qualified(key)
+        index = self._load_index()
         if self._broken:
+            self._unwritten[qualified] = index[qualified] = record
             return
         body = {"key": key, "version": self.version, "result": record}
         line = json.dumps(dict(body, crc=_record_crc(body)),
@@ -339,12 +383,17 @@ class ResultStore:
                     if (_try_lock(fd, exclusive=False)
                             and os.fstat(fd).st_nlink):
                         os.write(fd, data)  # one write: never interleaved
+                        # O_APPEND leaves the offset at the end of it.
+                        end = os.lseek(fd, 0, os.SEEK_CUR)
+                        index[qualified] = (self._segment_path,
+                                            end - len(data), len(data) - 1)
                         return
                 finally:
                     os.close(fd)  # releases the lock
                 self._segment_path = None  # a compaction owns it
         except OSError:
             self._broken = True  # unwritable cache dir: keep simulating
+            self._unwritten[qualified] = index[qualified] = record
 
     # -- maintenance -------------------------------------------------
 
@@ -423,7 +472,7 @@ class ResultStore:
         lines = corrupt = crc_failures = 0
         files = self._scan()
         for _, data in files:
-            for _, _, parsed, error in parse_lines(data, _parse_record):
+            for _, _, _, parsed, error in parse_lines(data, _parse_record):
                 lines += 1
                 if error is not None:
                     corrupt += 1
@@ -493,7 +542,7 @@ class ResultStore:
             report["files"] += 1
             keep = []
             bad_here = 0
-            for number, line, parsed, error in parse_lines(
+            for number, _, line, parsed, error in parse_lines(
                     data, _parse_record):
                 if error is None:
                     report["records"] += 1

@@ -7,9 +7,9 @@ harness serves quick smoke runs and long reproduction runs::
     REPRO_BENCH_INSTRS=200000 REPRO_BENCH_SKIP=20000 pytest benchmarks/
 
 Every experiment submits its whole grid to the batch engine
-(:mod:`repro.engine`) through a :class:`ResultCache`, which layers an
-in-process memo and the persistent on-disk store over a pluggable
-executor.  ``ResultCache(jobs=4)`` runs a grid on four worker
+(:mod:`repro.engine`) through a :class:`ResultCache`, which layers the
+persistent on-disk store (or, without one, a bounded in-process memo)
+over a pluggable executor.  ``ResultCache(jobs=4)`` runs a grid on four worker
 processes; results are identical to serial execution because each run
 is fully seeded.
 """
@@ -46,13 +46,15 @@ class ResultCache:
     """Experiment-facing facade over the batch engine.
 
     Several figures share runs (every sweep needs the conventional
-    baseline), so results are memoized on the spec's stable key —
-    in-process first, then the persistent store, so repeated figure or
-    sweep invocations are near-instant across processes.  Pass
-    ``persistent=False`` (or set ``REPRO_NO_CACHE=1``) to skip the
-    on-disk store, ``jobs=N`` to execute cache misses on a worker
-    pool, and ``executor="remote"`` with ``workers="host[:port],..."``
-    to fan them out across ``repro worker`` daemons instead.
+    baseline), so results are cached on the spec's stable key in the
+    persistent store, which serves a repeat in this process and in any
+    other, so repeated figure or sweep invocations are near-instant.
+    Pass ``persistent=False`` (or set ``REPRO_NO_CACHE=1``) to skip the
+    on-disk store (repeats are then served by the batch engine's
+    in-process memo, bounded by ``engine.core.MEMO_ENTRIES``),
+    ``jobs=N`` to execute cache misses on a worker pool, and
+    ``executor="remote"`` with ``workers="host[:port],..."`` to fan
+    them out across ``repro worker`` daemons instead.
     """
 
     def __init__(self, jobs=1, persistent=None, store=None, progress=None,

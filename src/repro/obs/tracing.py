@@ -248,7 +248,7 @@ def read_spans(directory=None, trace=None):
 
     spans = [record
              for data in _span_segments(telemetry_dir(directory))
-             for _, _, record, error in parse_lines(data, _parse_span)
+             for _, _, _, record, error in parse_lines(data, _parse_span)
              if error is None
              and (trace is None or record.get("trace") == trace)]
     spans.sort(key=lambda r: (r.get("start", 0), r.get("span", "")))
@@ -269,6 +269,6 @@ def telemetry_stats(directory=None):
     for data in _span_segments(directory):
         stats["segments"] += 1
         stats["bytes"] += len(data)
-        for _, _, _, error in parse_lines(data, _parse_span):
+        for *_, error in parse_lines(data, _parse_span):
             stats["spans" if error is None else "corrupt"] += 1
     return stats

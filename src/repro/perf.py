@@ -83,9 +83,10 @@ def measure_kips(workloads=None, schemes=None, instructions=30_000,
                 # register-file contention model on can never be
                 # confused with (or gated against) a port-free one.
                 "regfile": config.port_model(),
-                # Engine provenance: a fallback on a native-tier run
-                # means the point silently measured the interpreter —
-                # surfaced, never hidden.
+                # Engine provenance: the tier that ran the point
+                # (``auto`` takes native wherever it can), and whether
+                # a native request fell back to the interpreter.
+                "engine_used": result.engine_used,
                 "engine_fallbacks": result.stats.engine_fallbacks,
             }
             done += 1
@@ -153,12 +154,23 @@ def compare_to_baseline(report, baseline, max_regression=0.30):
     across machines); returns ``(ok, message)``.  Refuses to gate when
     the two reports measured different register-file port-model
     configurations for the same point — a port-enabled baseline is a
-    different machine, not a slower one.
+    different machine, not a slower one — or when a point ran on
+    another tier than the baseline's (the committed baseline is an
+    interpreter report, and ``auto`` runs native wherever it can).
     """
     base = baseline.get("median_kips")
     current = report.get("median_kips")
     if not base:
         return True, "baseline has no median_kips; nothing to compare"
+    tier = baseline.get("engine")
+    if tier in ENGINES:
+        measured = {run.get("engine_used") or tier
+                    for run in report.get("runs", {}).values()}
+        if measured != {tier}:
+            return False, (f"tier mismatch: the baseline is an {tier} "
+                           f"report, this run measured "
+                           f"{'+'.join(sorted(measured))}; gate with "
+                           f"--engine {tier} (or all)")
     for key, run in report.get("runs", {}).items():
         other = baseline.get("runs", {}).get(key)
         if other is None or "regfile" not in run or "regfile" not in other:

@@ -44,7 +44,11 @@ published to the owning job's stream immediately — so with a pool or
 remote executor behind the engine, points stream to clients while the
 rest of the round is still simulating, and store/memo hits stream
 before the executor even starts.  Identical specs across concurrent
-jobs deduplicate within a round for free (engine semantics).
+jobs deduplicate within a round for free (engine semantics).  In a
+process that defers its native build (``repro serve``), the first
+delivered round starts it in the background
+(:func:`repro.uarch.native.start_deferred_build`); ``auto`` points run
+on the interpreter until the library loads.
 
 One request per connection (``Connection: close``), bodies capped at
 64 MB, streams chunk-encoded.  Start it from the CLI (``repro serve``),
@@ -76,7 +80,7 @@ from repro.engine.spec import RunSpec
 from repro.engine.version import code_version
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.obs.health import engine_tier_report
+from repro.obs.health import auto_resolution, engine_tier_report
 from repro.service.auth import authorized, service_token
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.jobs import JobQueue
@@ -123,16 +127,16 @@ _JOBS_GAUGE = _REGISTRY.gauge(
 _PENDING_GAUGE = _REGISTRY.gauge(
     "repro_gateway_points_pending",
     "Unscheduled points across queued/running jobs.")
-_ROUNDS_GAUGE = _REGISTRY.gauge(
+_ROUNDS = _REGISTRY.counter(
     "repro_gateway_rounds_total", "Scheduler rounds started.")
-_POINTS_GAUGE = _REGISTRY.gauge(
+_POINTS = _REGISTRY.counter(
     "repro_gateway_points_total",
-    "Points delivered by this gateway, by source.",
+    "Points delivered by the gateway, by source.",
     labelnames=("source",))
-_ROUND_FAILURES_GAUGE = _REGISTRY.gauge(
+_ROUND_FAILURES = _REGISTRY.counter(
     "repro_gateway_round_failures_total",
     "Scheduler rounds that died whole.")
-_UNAUTHORIZED_GAUGE = _REGISTRY.gauge(
+_UNAUTHORIZED = _REGISTRY.counter(
     "repro_gateway_unauthorized_total", "Requests refused by auth.")
 _BUILD_INFO = _REGISTRY.gauge(
     "repro_build_info",
@@ -371,6 +375,7 @@ class Gateway:
         # never read a /v1/metrics snapshot that predates the round —
         # the engine can finish and deliver before to_thread returns.
         self.rounds += 1
+        _ROUNDS.inc()
 
         def execute():
             # Worker thread: the only thread that touches the engine.
@@ -407,14 +412,12 @@ class Gateway:
         except Exception as exc:  # noqa: BLE001 — jobs must not wedge
             failure = f"{type(exc).__name__}: {exc}"
         if failure is None:
-            # Final sync; max() because _land_point already counted the
-            # points that streamed out mid-round.
+            # Final sync: _land_point already counted the points that
+            # streamed out mid-round.
             batch = self.engine.last_batch
-            self.points_executed = max(self.points_executed,
-                                       base_executed + batch.executed)
-            self.points_cached = max(
-                self.points_cached,
-                base_cached + batch.store_hits + batch.memo_hits)
+            self._count_points(base_executed + batch.executed,
+                               base_cached + batch.store_hits
+                               + batch.memo_hits)
             if batch.degraded:
                 self.degraded = dict(batch.degraded)
                 for client in {job.client for job, _ in round_}:
@@ -423,14 +426,31 @@ class Gateway:
             # engine.last_batch may be stale (the round can die before
             # the engine starts), so no counter sync on this path.
             self.round_failures += 1
+            _ROUND_FAILURES.inc()
             self.last_round_error = failure
             self._requeue_round(round_, failure)
+        if self.rounds == 1:
+            # A process that defers its native build (repro serve)
+            # starts it once it has answered its first round, so
+            # neither start-up nor that round waits on the compiler.
+            from repro.uarch import native
+
+            native.start_deferred_build()
+
+    def _count_points(self, executed, cached):
+        """Raise the delivered-point totals to at least these; each
+        point is counted once however many syncs report it."""
+        if executed > self.points_executed:
+            _POINTS.inc(executed - self.points_executed, source="executed")
+            self.points_executed = executed
+        if cached > self.points_cached:
+            _POINTS.inc(cached - self.points_cached, source="cached")
+            self.points_cached = cached
 
     def _land_point(self, executed, cached, job, index, result,
                     from_cache=False):
         """Event-loop callback: publish one point with counters current."""
-        self.points_executed = max(self.points_executed, executed)
-        self.points_cached = max(self.points_cached, cached)
+        self._count_points(executed, cached)
         _TENANT_POINTS.inc(client=job.client,
                            source="cached" if from_cache else "executed")
         job.deliver(index, result)
@@ -538,6 +558,7 @@ class Gateway:
             return
         if not authorized(headers, self.token):
             self.unauthorized += 1
+            _UNAUTHORIZED.inc()
             raise _HttpError(401, "unauthorized: set REPRO_TOKEN and "
                                   "send 'Authorization: Bearer <token>'")
         if path == "/v1/metrics" and method == "GET":
@@ -722,18 +743,20 @@ class Gateway:
         await writer.drain()
 
     def _engines(self):
-        """The engine-tier report, probed at most once a minute.
+        """The engine-tier report, probed at most once a minute, with
+        what ``auto`` resolves to now.
 
         ``/v1/healthz`` is auth-exempt and load balancers poll it, so
-        the toolchain probe behind :func:`engine_tier_report` must not
-        run per request.
+        the probe behind :func:`engine_tier_report` must not run per
+        request; the ``auto`` resolution is cheap and current, so it
+        shows the moment a deferred native build loads.
         """
         now = time.time()
         if (self._engines_report is None
                 or now - self._engines_probed_at > 60.0):
             self._engines_report = engine_tier_report()
             self._engines_probed_at = now
-        return self._engines_report
+        return dict(self._engines_report, **auto_resolution())
 
     def _healthz(self):
         return {"ok": True, "version": self.version,
@@ -749,11 +772,6 @@ class Gateway:
         for state, count in counters["jobs"].items():
             _JOBS_GAUGE.set(count, state=state)
         _PENDING_GAUGE.set(counters["points_pending"])
-        _ROUNDS_GAUGE.set(self.rounds)
-        _POINTS_GAUGE.set(self.points_executed, source="executed")
-        _POINTS_GAUGE.set(self.points_cached, source="cached")
-        _ROUND_FAILURES_GAUGE.set(self.round_failures)
-        _UNAUTHORIZED_GAUGE.set(self.unauthorized)
         _BUILD_INFO.set(1, version=self.version)
 
     def prometheus(self):

@@ -34,6 +34,11 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Delivered points the finished jobs a :class:`JobQueue` keeps may hold
+#: between them: each is a result plus its stream event, so a gateway
+#: that serves many grids keeps a bounded number of them.
+MAX_FINISHED_POINTS = 800
+
 
 def new_job_id():
     """A fresh opaque job identifier (URL-safe, unguessable-enough)."""
@@ -226,9 +231,10 @@ class JobQueue:
     """Every job the gateway knows, plus the fair-share selector.
 
     Finished jobs are kept for fetch/replay but only the most recent
-    ``max_finished`` of them — a long-running gateway must not retain
-    every grid it ever served (results live on in the engine's
-    persistent store regardless).
+    ``max_finished`` of them, and only as many as hold at most
+    :data:`MAX_FINISHED_POINTS` delivered points between them — a
+    long-running gateway must not retain every grid it ever served
+    (results live on in the engine's persistent store regardless).
     """
 
     def __init__(self, max_finished=1000):
@@ -238,11 +244,16 @@ class JobQueue:
         self._turns = deque()  # round-robin order over clients
 
     def _evict_finished(self):
-        """Drop the oldest terminal jobs beyond the retention cap."""
-        terminal = [job_id for job_id, job in self.jobs.items()
-                    if job.is_finished]
-        for job_id in terminal[:max(0, len(terminal) - self.max_finished)]:
-            del self.jobs[job_id]
+        """Drop the oldest terminal jobs beyond the retention caps: the
+        job count, then the delivered points they hold."""
+        terminal = [job for job in self.jobs.values() if job.is_finished]
+        held = sum(job.done_points for job in terminal)
+        for number, job in enumerate(terminal):
+            if (len(terminal) - number <= self.max_finished
+                    and held <= MAX_FINISHED_POINTS):
+                break
+            held -= job.done_points
+            del self.jobs[job.job_id]
 
     def submit(self, client, specs, job_id=None, trace=None):
         """Register a new job for ``client``; returns the :class:`Job`.
@@ -318,11 +329,11 @@ class JobQueue:
             backlog = self._backlog.get(client)
             job = None
             while backlog:
-                candidate = self.jobs[backlog[0]]
-                if candidate.pending_points:
+                candidate = self.jobs.get(backlog[0])
+                if candidate is not None and candidate.pending_points:
                     job = candidate
                     break
-                backlog.popleft()  # finished or cancelled: drop
+                backlog.popleft()  # finished, cancelled or evicted: drop
             if job is None:
                 self._turns.remove(client)
                 del self._backlog[client]

@@ -136,7 +136,7 @@ class JobJournal:
             except OSError:
                 continue
             submit, done, ended = None, set(), False
-            for _, _, entry, error in parse_lines(data, _parse_entry):
+            for _, _, _, entry, error in parse_lines(data, _parse_entry):
                 if error is not None:
                     continue  # torn mid-append; later records still count
                 if entry["event"] == "submit":

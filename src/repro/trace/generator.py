@@ -231,8 +231,10 @@ class _KernelProgram:
 #   keeps its generator and extends in place when a later caller needs
 #   a longer prefix;
 # * the column LRU (native tier): TraceColumns only, bounded by
-#   COLUMN_CACHE_BYTES, so the nine paper workloads stay resident
-#   through a Figure 4+5 sweep.  An entry holds no generator (whose
+#   COLUMN_CACHE_BYTES and COLUMN_CACHE_ENTRIES, so the nine paper
+#   workloads stay resident through a Figure 4+5 sweep while a stream
+#   of short one-shot traces (a gateway's interactive points) cannot
+#   pile up in the byte budget.  An entry holds no generator (whose
 #   pattern state and unfinished kernel visit would cost more than the
 #   budget counts); a longer prefix is a new entry, built from the
 #   start, and held columns are never resized.
@@ -242,6 +244,8 @@ _MATERIALIZED_MAX = 4
 _COLUMN_CACHE: OrderedDict = OrderedDict()
 #: Byte budget of the column LRU; the newest entry always stays.
 COLUMN_CACHE_BYTES = 32 << 20
+#: Entry budget of the column LRU (the Figure 4+5 sweeps need 9).
+COLUMN_CACHE_ENTRIES = 16
 _COLUMN_LOCK = threading.Lock()
 
 #: The native tier's trace layout: ``(record field, array typecode)`` in
@@ -305,7 +309,9 @@ def trace_columns(workload, seed, count):
         _COLUMN_CACHE[key] = columns
         _COLUMN_CACHE.move_to_end(key)
         held = sum(cols.nbytes for cols in _COLUMN_CACHE.values())
-        while held > COLUMN_CACHE_BYTES and len(_COLUMN_CACHE) > 1:
+        while len(_COLUMN_CACHE) > 1 and (
+                held > COLUMN_CACHE_BYTES
+                or len(_COLUMN_CACHE) > COLUMN_CACHE_ENTRIES):
             held -= _COLUMN_CACHE.popitem(last=False)[1].nbytes
     return columns
 

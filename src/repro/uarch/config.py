@@ -26,17 +26,21 @@ ENGINES = ("interp", "native")
 
 
 def resolve_engine(requested):
-    """The effective engine tier for a request.
+    """The engine request a run settles: ``"interp"``, ``"native"`` or
+    ``"auto"``.
 
     ``None`` and ``"auto"`` defer to the ``REPRO_ENGINE`` environment
-    variable, defaulting to ``"interp"`` — the conservative tier every
-    golden pin was recorded on.  Raises ``ValueError`` on an unknown
-    name (including an unknown ``REPRO_ENGINE`` value).
+    variable; with it unset (or ``auto``) the request stays ``"auto"``,
+    which :meth:`Processor.run <repro.uarch.processor.Processor.run>`
+    settles per processor: native wherever the one artifact is ready for
+    it (:func:`repro.uarch.native.ready`), else the interpreter, without
+    counting a fallback.  Raises ``ValueError`` on an unknown name
+    (including an unknown ``REPRO_ENGINE`` value).
     """
     name = requested or "auto"
     if name == "auto":
-        name = os.environ.get("REPRO_ENGINE", "").strip() or "interp"
-    if name not in ENGINES:
+        name = os.environ.get("REPRO_ENGINE", "").strip() or "auto"
+    if name not in ("auto", *ENGINES):
         raise ValueError(
             f"unknown engine {name!r}; choose interp, native or auto")
     return name
@@ -120,8 +124,9 @@ class ProcessorConfig:
     # Engine tier (execution strategy, not machine identity): "interp"
     # runs the interpreter hot loop, "native" the C-compiled loop
     # (uarch/native; falls back to interp on any build failure, loudly
-    # via SimStats.engine_fallbacks), "auto" defers to REPRO_ENGINE
-    # (default interp).  Both tiers are bit-identical by contract, so
+    # via SimStats.engine_fallbacks), "auto" defers to REPRO_ENGINE and,
+    # with it unset, runs native wherever the artifact is ready, else
+    # interp (uncounted).  Both tiers are bit-identical by contract, so
     # the field is excluded from key() — results cache across tiers.
     engine: str = "auto"
 

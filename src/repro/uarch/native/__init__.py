@@ -57,6 +57,18 @@ recorded in :data:`build_failures` and the fallback counted in
 the cache tags and the predictor, so the interpreter warms its own from
 records, once, before it takes over.
 
+``engine="auto"`` (the default) takes this tier whenever it is ready
+for a processor (:func:`ready`): :func:`native_features` accepts it and
+the artifact is loaded, on disk, or buildable by the calling process;
+otherwise the run takes the interpreter without counting a fallback.
+A process that must never wait on a compiler (``repro serve``) calls
+:func:`defer_builds` at start-up and :func:`start_deferred_build` when
+it can afford one: the build then runs in a background thread, and its
+``auto`` runs stay on the interpreter until the library loads.  Every
+compiler, the toolchain probe's included, runs in its own session and
+process group, so it is scheduled apart from the caller and
+:func:`stop_builds` can kill and reap all of it.
+
 Known limitation: after a native run the renamer's *map-table and
 free-list contents* are not synced back (only their statistics
 counters are) — inspect rename state on interp.
@@ -67,8 +79,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import signal
 import subprocess
 import tempfile
+import threading
 from array import array
 from functools import lru_cache
 from pathlib import Path
@@ -95,6 +109,19 @@ _ARTIFACTS = _metrics.get_registry().counter(
 
 _TOOLCHAIN_UNSET = object()
 _toolchain = _TOOLCHAIN_UNSET
+
+#: Set by :func:`defer_builds`: only the background build compiles.
+_builds_deferred = False
+_build_thread = None
+#: The background build's ``prebuild()`` outcome, once it ended.
+_build_outcome = None
+#: Compilers running now (their own process groups), and whether
+#: :func:`stop_builds` has stopped new ones from starting.
+_compilers = set()
+_compilers_lock = threading.Lock()
+_compilers_stopped = False
+#: Artifact directories already checked for writability, by path.
+_writable_dirs: dict[str, bool] = {}
 
 _TEMPLATE_PATH = Path(__file__).with_name("engine_template.c")
 _template_cache = None
@@ -186,6 +213,54 @@ def template_fingerprint():
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
 
 
+def _kill_group(proc):
+    """End ``proc``'s whole process group and reap ``proc``: SIGTERM
+    first, so ``cc`` gets to remove its temporary files, then SIGKILL
+    for whatever is left of the group."""
+    try:
+        os.killpg(proc.pid, signal.SIGTERM)
+        proc.wait(timeout=5)
+    except (OSError, subprocess.TimeoutExpired):
+        pass
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except OSError:
+        pass  # the whole group has exited
+    proc.wait()
+
+
+def _compile(args, timeout):
+    """Run the compiler command ``args``; whether it exited 0.
+
+    The compiler starts in its own session (so its own process group and
+    scheduling group): it competes with the caller's busy threads as a
+    peer instead of as one of them, and :func:`stop_builds` can end it
+    with every process it spawned.  Its output is read and discarded:
+    ``communicate`` returns when the pipe closes, where ``wait`` with a
+    timeout would poll, up to 50 ms late."""
+    with _compilers_lock:
+        if _compilers_stopped:
+            return False
+        try:
+            proc = subprocess.Popen(args, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE,
+                                    start_new_session=True)
+        except OSError:
+            return False
+        _compilers.add(proc)
+    try:
+        proc.communicate(timeout=timeout)
+        return proc.returncode == 0
+    except subprocess.TimeoutExpired:
+        _kill_group(proc)
+        return False
+    finally:
+        proc.stderr.close()
+        with _compilers_lock:
+            _compilers.discard(proc)
+
+
 def _try_compiler(cc):
     """Probe-compile a trivial shared object with ``cc``."""
     with tempfile.TemporaryDirectory(prefix="repro-cc-") as tmp:
@@ -193,13 +268,8 @@ def _try_compiler(cc):
         out = os.path.join(tmp, "probe.so")
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(_PROBE_SOURCE)
-        try:
-            result = subprocess.run(
-                [cc, *CFLAGS, "-o", out, src],
-                capture_output=True, timeout=60)
-        except (OSError, subprocess.TimeoutExpired):
-            return False
-        return result.returncode == 0 and os.path.exists(out)
+        return (_compile([cc, *CFLAGS, "-o", out, src], timeout=60)
+                and os.path.exists(out))
 
 
 def toolchain():
@@ -478,7 +548,10 @@ def build_library(processor):
     build lock, with an atomic rename so readers never see a partial
     artifact), so a process that finds the artifact never runs a
     compiler.  Each call counts one ``repro_native_artifacts_total``
-    outcome: ``memory``, ``disk``, ``built`` or ``failed``.
+    outcome: ``memory``, ``disk``, ``built`` or ``failed``.  In a
+    process that defers its builds (:func:`defer_builds`) only the
+    background build compiles; any other call that would have to fails
+    with ``artifact-pending``.
     """
     flags, reason = native_features(processor)
     if flags is None:
@@ -492,6 +565,9 @@ def build_library(processor):
     so_path = directory / name
     outcome = "disk"
     if not so_path.exists():
+        if (_builds_deferred
+                and threading.current_thread() is not _build_thread):
+            return _failed("artifact-pending")
         cc = toolchain()
         if cc is None:
             return _failed("no-toolchain")
@@ -508,14 +584,12 @@ def build_library(processor):
                 tmp_path = directory / f".{name}.tmp-{os.getpid()}"
                 try:
                     src_path.write_text(source, encoding="utf-8")
-                    result = subprocess.run(
-                        [cc, *CFLAGS, "-o", str(tmp_path), str(src_path)],
-                        capture_output=True, timeout=300)
-                    if result.returncode != 0:
+                    if not _compile([cc, *CFLAGS, "-o", str(tmp_path),
+                                     str(src_path)], timeout=300):
                         return _failed("compile-error")
                     os.replace(tmp_path, so_path)
                     outcome = "built"
-                except (OSError, subprocess.TimeoutExpired):
+                except OSError:
                     return _failed("compile-error")
                 finally:
                     for leftover in (tmp_path, src_path):
@@ -532,6 +606,108 @@ def build_library(processor):
     _LIB_CACHE[name] = lib
     _ARTIFACTS.inc(outcome=outcome)
     return lib, None
+
+
+# -- engine="auto" and deferred builds --------------------------------------
+
+
+def _writable(directory):
+    """:func:`_dir_writable`, checked once per directory per process."""
+    key = str(directory)
+    if key not in _writable_dirs:
+        _writable_dirs[key] = _dir_writable(directory)
+    return _writable_dirs[key]
+
+
+def auto_status():
+    """``(tier, why)``: what ``engine="auto"`` resolves to in this
+    process now, for a processor :func:`native_features` accepts.
+
+    ``native`` when the artifact is loaded, on disk, or buildable here;
+    ``interp`` while a deferred build is pending or after it failed, and
+    for lack of a toolchain or of a writable artifact directory.  A
+    process that defers its builds never probes the toolchain here: the
+    probe is a compile too."""
+    name = _artifact_name()
+    if name in _LIB_CACHE:
+        return "native", "artifact loaded"
+    directory = artifact_dir()
+    if (directory / name).is_file():
+        return "native", "artifact on disk"
+    if _builds_deferred:
+        if _build_outcome is None:
+            return "interp", "native build pending"
+        reason = _build_outcome[1]
+        return "interp", ("no C toolchain" if reason == "no-toolchain"
+                          else f"native build failed ({reason})")
+    if toolchain() is None:
+        return "interp", "no C toolchain"
+    if not _writable(directory):
+        return "interp", f"artifact dir {directory} not writable"
+    return "native", "builds on first run"
+
+
+def ready(processor):
+    """Whether an ``engine="auto"`` run of ``processor`` takes this tier:
+    :func:`native_features` accepts it and :func:`auto_status` says
+    native."""
+    return (native_features(processor)[0] is not None
+            and auto_status()[0] == "native")
+
+
+def defer_builds():
+    """Never compile while running points, in this process and in the
+    pool workers it forks from now on.
+
+    ``auto`` runs take native only once the artifact is loaded or on
+    disk, an explicit ``native`` run falls back (``artifact-pending``),
+    and the one build waits for :func:`start_deferred_build`."""
+    global _builds_deferred
+    _builds_deferred = True
+
+
+def start_deferred_build():
+    """Start the deferred build in a background thread; the thread, or
+    ``None`` when builds are not deferred, the build already started,
+    or ``REPRO_ENGINE`` pins the interpreter (nothing would use it)."""
+    global _build_thread
+    from repro.uarch.config import resolve_engine
+
+    if not _builds_deferred or _build_thread is not None:
+        return None
+    try:
+        if resolve_engine(None) == "interp":
+            return None
+    except ValueError:
+        return None
+
+    def build():
+        global _build_outcome
+        outcome = None, "build-error"
+        try:
+            outcome = prebuild()
+        finally:
+            _build_outcome = outcome
+
+    _build_thread = threading.Thread(target=build, daemon=True,
+                                     name="repro-native-build")
+    _build_thread.start()
+    return _build_thread
+
+
+def stop_builds():
+    """Kill every compiler this process runs, with its whole process
+    group, start no more, and wait for the background build to remove
+    its source and temporary files (the shutdown path of ``repro
+    serve``)."""
+    global _compilers_stopped
+    with _compilers_lock:
+        _compilers_stopped = True
+        running = list(_compilers)
+    for proc in running:
+        _kill_group(proc)
+    if _build_thread is not None:
+        _build_thread.join(30)
 
 
 # -- execution ---------------------------------------------------------------
@@ -740,7 +916,10 @@ def probe():
     falls back to the interpreter on every run (loudly, via
     ``SimStats.engine_fallbacks``).
     """
-    cc = toolchain()
+    # A process that defers its builds reports the toolchain its
+    # background build found, never probing one itself.
+    cc = (None if _builds_deferred and _toolchain is _TOOLCHAIN_UNSET
+          else toolchain())
     directory = artifact_dir()
     on_disk = (directory / _artifact_name()).is_file()
     writable = _dir_writable(directory)

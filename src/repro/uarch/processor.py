@@ -68,16 +68,25 @@ class SimulationDeadlock(RuntimeError):
 
 
 class Processor:
-    """One simulated machine; create a fresh instance per run."""
+    """One simulated machine; create a fresh instance per run.
+
+    The run takes one of two bit-identical tiers (``engine``, else
+    ``config.engine``): the interpreter below, or the native C loop
+    (:mod:`repro.uarch.native`), which ``engine="auto"`` — the default —
+    takes wherever its artifact is ready.  After a native run the
+    statistics, clock, cache tags and predictor are synced back, but the
+    renamer's map-table and free-list *contents* are not: code that
+    inspects rename state after a run must request ``engine="interp"``.
+    """
 
     def __init__(self, config=None, engine=None):
         self.config = config or ProcessorConfig()
         cfg = self.config
         # Engine tier: the explicit argument wins, else the config field
-        # ("auto" defers to REPRO_ENGINE at run time — see
-        # repro.uarch.config.resolve_engine).  engine_used records the
-        # tier that actually ran.
+        # ("auto" defers to REPRO_ENGINE, then settles per run — see
+        # _tier).  engine_used records the tier that actually ran.
         self._engine = engine if engine is not None else cfg.engine
+        self._tier_chosen = None
         self.engine_used = None
         self.renamer = cfg.build_renamer()
         self.bht = BranchHistoryTable(cfg.bht_entries)
@@ -148,6 +157,29 @@ class Processor:
 
     # -- public API ----------------------------------------------------------
 
+    def _tier(self, max_instructions):
+        """The tier :meth:`run` tries first, decided once per processor.
+
+        An explicit request is honored (a native one that cannot run
+        becomes a counted fallback); ``auto`` takes native only where
+        it can run without one — :func:`repro.uarch.native.ready`, a
+        bounded run, no injected faults — and the interpreter otherwise.
+        Per-instance ``_step`` instrumentation (tests and tracers
+        monkeypatch it) forces the interpreter silently: a replaced
+        ``_step`` would never be called by the C loop."""
+        if self._tier_chosen is None:
+            tier = resolve_engine(self._engine)
+            if "_step" in self.__dict__:
+                tier = "interp"
+            elif tier == "auto":
+                from repro.uarch import native
+
+                tier = ("native" if max_instructions is not None
+                        and not self._fault_at_commits
+                        and native.ready(self) else "interp")
+            self._tier_chosen = tier
+        return self._tier_chosen
+
     def run(self, trace, max_instructions=None, skip=0):
         """Simulate ``max_instructions`` records of ``trace`` after ``skip``.
 
@@ -170,12 +202,8 @@ class Processor:
         stream = None
         # The native tier runs the whole window in C (_run_native); on
         # any failure it hands the interpreter below the rest of the
-        # trace, counting the fallback.  Per-instance _step
-        # instrumentation (tests and tracers monkeypatch it) forces the
-        # interpreter silently: a replaced _step would never be called
-        # by the C loop, so the request is reinterpreted, not failed.
-        if (resolve_engine(self._engine) == "native"
-                and "_step" not in self.__dict__):
+        # trace, counting the fallback.
+        if self._tier(max_instructions) == "native":
             from repro.uarch import native as _native
 
             if max_instructions is None:
@@ -187,7 +215,8 @@ class Processor:
                 if stream is None:
                     self.stats.cycles = self.now
                     self._harvest_stats()
-                    return SimResult(stats=self.stats, config=self.config)
+                    return SimResult(stats=self.stats, config=self.config,
+                                     engine_used=self.engine_used)
             self.stats.engine_fallbacks += 1
         if stream is None:
             stream = iter(trace)
@@ -209,7 +238,8 @@ class Processor:
                 )
         self.stats.cycles = self.now
         self._harvest_stats()
-        return SimResult(stats=self.stats, config=self.config)
+        return SimResult(stats=self.stats, config=self.config,
+                         engine_used=self.engine_used)
 
     def _run_native(self, native, trace, max_instructions, skip):
         """Run records ``[skip, skip + max_instructions)`` on the native
@@ -438,6 +468,11 @@ class Processor:
                                 self._mshr_gated.append(instr)
                     append(item)
                     continue
+                if instr.mshr_gated:
+                    # Accepted: a committing store has nothing left to
+                    # wake, so the load leaves the wake list.
+                    instr.mshr_gated = False
+                    self._mshr_gated.remove(instr)
                 push_complete(done, instr)
             # Built in ascending order, so the list is already a valid heap.
             self.pending_mem = still_pending
@@ -776,6 +811,7 @@ def simulate(config=None, trace=None, workload=None,
     if (trace is None) == (workload is None):
         raise ValueError("provide exactly one of trace= or workload=")
     config = config or ProcessorConfig()
+    processor = Processor(config)
     name = ""
     if workload is not None:
         if isinstance(workload, str):
@@ -786,12 +822,12 @@ def simulate(config=None, trace=None, workload=None,
                 # runs of the same (workload, seed) point share one
                 # materialization (see trace.generator): typed columns
                 # for the native tier, a record list for the
-                # interpreter.  On a column overflow the native tier
-                # gets the records, and Processor.run counts the
-                # fallback.
+                # interpreter, by the tier the run takes first.  On a
+                # column overflow the native tier gets the records, and
+                # Processor.run counts the fallback.
                 count = skip + max_instructions
                 trace = None
-                if resolve_engine(config.engine) == "native":
+                if processor._tier(max_instructions) == "native":
                     with contextlib.suppress(OverflowError):
                         trace = trace_columns(workload, seed, count)
                 if trace is None:
@@ -803,7 +839,6 @@ def simulate(config=None, trace=None, workload=None,
             trace = SyntheticTrace(workload, seed)
         else:
             raise TypeError("workload must be a name or a Workload")
-    processor = Processor(config)
     result = processor.run(trace, max_instructions=max_instructions, skip=skip)
     result.workload = name
     result.seed = seed

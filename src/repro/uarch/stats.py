@@ -113,6 +113,11 @@ class SimResult:
     workload: str = ""
     seed: int = 0
     extra: dict = field(default_factory=dict)
+    #: The cycle-engine tier that ran (``Processor.engine_used``); kept
+    #: out of :meth:`to_dict` and equality, so a stored or compared
+    #: result is the same whichever tier produced it, and ``None`` for
+    #: a result rebuilt by :meth:`from_dict`.
+    engine_used: str | None = field(default=None, compare=False)
 
     @property
     def ipc(self):

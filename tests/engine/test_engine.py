@@ -10,6 +10,7 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
+from repro.engine import core
 from repro.experiments.runner import ResultCache
 from repro.uarch.config import conventional_config, virtual_physical_config
 
@@ -100,6 +101,42 @@ class TestCaching:
             progress=lambda done, total, spec: seen.append((done, total)))
         engine.run(grid())
         assert seen == [(i + 1, 5) for i in range(5)]
+
+
+class TestMemoBound:
+    """The memo is one more copy of each result; it must stay bounded
+    across batches (a long-lived gateway runs many)."""
+
+    @staticmethod
+    def spec(seed):
+        return RunSpec("go", conventional_config()).resolved(
+            INSTRS, SKIP, seed)
+
+    def test_a_store_answers_earlier_batches_so_the_memo_holds_none(
+            self, tmp_path):
+        engine = BatchEngine(store=ResultStore(tmp_path))
+        first = engine.run([self.spec(0), self.spec(0)])
+        for seed in range(1, 4):
+            engine.run_one(self.spec(seed))
+        assert len(engine._memo) == 0
+        again = engine.run_one(self.spec(0))
+        assert engine.last_batch.store_hits == 1
+        assert engine.last_batch.executed == 0
+        assert again.to_dict() == first[0].to_dict()
+        assert first[0] is first[1]  # one result per key in a batch
+
+    def test_without_a_store_the_memo_keeps_the_newest_entries(
+            self, monkeypatch):
+        monkeypatch.setattr(core, "MEMO_ENTRIES", 3)
+        engine = BatchEngine()
+        for seed in range(6):
+            engine.run_one(self.spec(seed))
+        assert len(engine._memo) == 3
+        engine.run_one(self.spec(5))
+        assert engine.last_batch.memo_hits == 1
+        engine.run_one(self.spec(0))
+        assert engine.last_batch.executed == 1
+        assert len(engine._memo) == 3
 
 
 class TestEngineGuards:

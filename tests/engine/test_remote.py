@@ -102,6 +102,40 @@ class TestProtocol:
         assert not thread.is_alive()
         server.server_close()
 
+    def test_shutdown_replies_before_the_daemon_can_stop(self,
+                                                        monkeypatch):
+        """``shutdown`` writes its reply before ``serve_forever`` can
+        return: a daemon process exits right after that, and a reply
+        still unwritten then is lost (``repro cluster stop`` reported
+        the worker UNREACHABLE).  Freshly started workers, every time."""
+        from repro.engine import remote
+
+        replied = threading.Event()
+        real_reply = remote._WorkerHandler._reply
+
+        def reply(handler, response):
+            real_reply(handler, response)
+            replied.set()
+
+        monkeypatch.setattr(remote._WorkerHandler, "_reply", reply)
+        seen = []
+        for _ in range(3):
+            replied.clear()
+            server = WorkerServer(port=0)
+            thread = server.serve_in_thread()
+            stop = server.shutdown
+
+            def shutdown(stop=stop):
+                seen.append(replied.is_set())
+                stop()
+
+            server.shutdown = shutdown
+            assert shutdown_worker(server.address)["ok"]
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            server.server_close()
+        assert seen == [True] * 3
+
     def test_unknown_op_is_an_error_not_a_crash(self, worker):
         with pytest.raises(RuntimeError, match="unknown op"):
             from repro.engine.remote import _request

@@ -175,3 +175,61 @@ def test_injected_torn_append_is_caught_by_verify(tmp_path):
     report = ResultStore(tmp_path).verify()
     assert report["corrupt"] == 1
     assert report["crc_failures"] == 0  # truncated, not bit-rotted
+
+
+def test_get_follows_a_record_that_compaction_moved(tmp_path):
+    """The index holds where a record's line is; once a compaction has
+    merged and unlinked that segment, or rewritten the base so the line
+    moved, ``get`` reloads the index and still returns the result."""
+    stale, spec = small_spec("li"), small_spec()
+    ResultStore(tmp_path, version="old").put(stale.key(),
+                                             execute_spec(stale))
+    result = execute_spec(spec)
+    writer = ResultStore(tmp_path)
+    writer.put(spec.key(), result)
+    reader = ResultStore(tmp_path)
+    assert reader.get(spec.key()).to_dict() == result.to_dict()
+    segments = reader.segment_paths()
+    ResultStore(tmp_path).compact()
+    assert not any(path.exists() for path in segments)
+    for store in (writer, reader):
+        assert store.get(spec.key()).to_dict() == result.to_dict()
+    # Pruning the older record moves this one to the start of the base.
+    ResultStore(tmp_path).compact(prune_stale=True)
+    assert reader.path.read_bytes().count(b"\n") == 1
+    for store in (writer, reader):
+        assert store.get(spec.key()).to_dict() == result.to_dict()
+
+
+def test_a_record_that_rots_after_it_was_indexed_is_not_served(tmp_path):
+    """``get`` re-reads the line and checks its CRC: one flipped bit
+    (a digit that is still a digit, so the JSON still parses) makes it
+    a miss, in the store that wrote it and in a fresh one."""
+    spec = small_spec()
+    store = ResultStore(tmp_path)
+    store.put(spec.key(), execute_spec(spec))
+    (segment,) = store.segment_paths()
+    data = bytearray(segment.read_bytes())
+    at = data.index(b'"committed": ') + len(b'"committed": ')
+    data[at] ^= 1
+    segment.write_bytes(bytes(data))
+    assert store.get(spec.key()) is None
+    assert ResultStore(tmp_path).get(spec.key()) is None
+    assert ResultStore(tmp_path).verify()["crc_failures"] == 1
+
+
+def test_an_unwritable_store_still_serves_its_own_puts(tmp_path):
+    """A directory that cannot be created disables persistence, but the
+    records this store could not write keep serving it, across a
+    refresh too."""
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    store = ResultStore(blocker / "cache")
+    spec = small_spec()
+    result = execute_spec(spec)
+    store.put(spec.key(), result)
+    assert store.get(spec.key()).to_dict() == result.to_dict()
+    store.refresh()
+    assert spec.key() in store and len(store) == 1
+    assert store.get(spec.key()).to_dict() == result.to_dict()
+    assert ResultStore(blocker / "cache").get(spec.key()) is None

@@ -43,6 +43,15 @@ class TestResultCache:
         spec = RunSpec("go", conventional_config())
         a = cache.run(spec)
         b = cache.run(RunSpec("go", conventional_config()))
+        # The store answers the repeat; no second simulation.
+        assert cache.last_batch.executed == 0
+        assert cache.last_batch.store_hits == 1
+        assert a.to_dict() == b.to_dict()
+
+    def test_identical_specs_run_once_without_a_store(self):
+        cache = ResultCache(persistent=False)
+        a = cache.run(RunSpec("go", conventional_config()))
+        b = cache.run(RunSpec("go", conventional_config()))
         assert a is b
 
     def test_different_workloads_run_separately(self):

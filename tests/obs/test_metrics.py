@@ -193,6 +193,18 @@ class TestExposition:
         checker.require_series(
             samples, 'repro_test_jobs_total{client="alice"}')
 
+    def test_the_total_suffix_is_reserved_for_counters(self):
+        """A ``_total`` series typed as anything but a counter fails the
+        CI scrape validator."""
+        checker = load_checker()
+        for kind in ("gauge", "histogram", "untyped"):
+            text = (f"# TYPE repro_test_rounds_total {kind}\n"
+                    "repro_test_rounds_total 3\n")
+            with pytest.raises(checker.CheckError, match="_total"):
+                checker.validate_text(text)
+        checker.validate_text("# TYPE repro_test_rounds_total counter\n"
+                              "repro_test_rounds_total 3\n")
+
     def test_escaped_label_values_round_trip(self):
         checker = load_checker()
         samples, _ = checker.validate_text(golden_registry().render())

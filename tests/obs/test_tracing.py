@@ -5,6 +5,7 @@ import os
 import threading
 
 from repro.engine import BatchEngine, ResultStore, RunSpec, SerialExecutor
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import (
     SPAN_PHASES,
     SpanLog,
@@ -177,6 +178,32 @@ class TestEngineCoverage:
         assert {span["attrs"]["workload"] for span in runs} == {"go",
                                                                 "swim"}
         assert all(span["outcome"] == "ok" for span in spans)
+
+    def test_run_spans_and_counter_name_the_tier_that_ran(
+            self, tmp_path, monkeypatch):
+        """The ``engine.run`` span's ``engine`` attribute and
+        ``repro_engine_runs_total{tier}`` report ``Processor.engine_used``,
+        not the requested ``auto``; ``SimStats`` does not carry it."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = get_registry().counter(
+            "repro_engine_runs_total", "", labelnames=("tier",))
+        before = {tier: runs.value(tier=tier)
+                  for tier in ("interp", "native")}
+        engine = BatchEngine(SerialExecutor())
+        trace = new_trace_id()
+        pinned = small_spec("li").config.with_(engine="interp")
+        specs = [small_spec("go"),
+                 RunSpec("li", pinned).resolved(400, 100, 1)]
+        results = engine.run(specs, trace=trace)
+        tiers = [result.engine_used for result in results]
+        assert tiers[1] == "interp" and tiers[0] in ("interp", "native")
+        assert "engine_used" not in results[0].stats.to_dict()
+        spans = read_spans(directory=tmp_path, trace=trace)
+        assert sorted(span["attrs"]["engine"] for span in spans
+                      if span["name"] == "engine.run") == sorted(tiers)
+        for tier in ("interp", "native"):
+            assert (runs.value(tier=tier) - before[tier]
+                    == tiers.count(tier))
 
     def test_cache_served_rerun_skips_execution_phases(
             self, tmp_path, monkeypatch):

@@ -5,7 +5,12 @@ import asyncio
 import pytest
 
 from repro.engine import RunSpec
-from repro.service.jobs import Job, JobQueue, new_job_id
+from repro.service.jobs import (
+    MAX_FINISHED_POINTS,
+    Job,
+    JobQueue,
+    new_job_id,
+)
 from repro.uarch.config import conventional_config
 
 
@@ -201,3 +206,31 @@ def test_drain_is_complete_for_any_limit(limit):
     queue.submit("y", specs(4))
     claims = drain(queue, limit)
     assert len(claims) == 9
+
+
+class TestRetention:
+    class _Result:
+        """A delivered point's result: all a stream event reads of it."""
+
+        def to_dict(self):
+            return {"stats": {}}
+
+    def test_finished_jobs_are_bounded_by_the_points_they_hold(self):
+        """A gateway serving many 54-point grids keeps only as many
+        finished jobs as hold ``MAX_FINISHED_POINTS`` delivered points
+        between them, the newest; the scheduler skips evicted ones."""
+        queue = JobQueue()
+        grid = specs(54)
+        done = []
+        for _ in range(40):
+            job = queue.submit("bulk", grid)
+            for index in range(len(grid)):
+                job.deliver(index, self._Result())
+            done.append(job.job_id)
+        queue.submit("bulk", grid[:1])  # the next submission evicts
+        finished = [job for job in queue.jobs.values() if job.is_finished]
+        held = sum(job.done_points for job in finished)
+        assert 0 < held <= MAX_FINISHED_POINTS
+        assert [job.job_id for job in finished] == done[-len(finished):]
+        assert [(job.client, index) for job, index
+                in queue.next_round(4)] == [("bulk", 0)]

@@ -54,6 +54,9 @@ class TestPrometheusExposition:
         assert status == 200
         assert content_type == PROMETHEUS_CONTENT_TYPE
         assert "# TYPE repro_gateway_requests_total counter" in body
+        for name in ("rounds", "points", "round_failures",
+                     "unauthorized"):
+            assert f"# TYPE repro_gateway_{name}_total counter" in body
         assert "# TYPE repro_gateway_uptime_seconds gauge" in body
         assert "# TYPE repro_native_artifacts_total counter" in body
         assert "repro_build_info{" in body
@@ -149,10 +152,12 @@ class TestHealthz:
         status, _, body = raw_get(handle, "/v1/healthz")
         assert status == 200
         engines = json.loads(body)["engines"]
-        assert set(engines) == {"interp", "native", "resolved_auto"}
+        assert set(engines) == {"interp", "native", "resolved_auto",
+                                "auto_reason"}
         assert engines["interp"]["available"] is True
         assert "available" in engines["native"]
         assert engines["resolved_auto"] in ("interp", "native")
+        assert engines["auto_reason"]
 
     def test_healthz_reports_a_bad_repro_engine(self, gateway,
                                                 monkeypatch):

@@ -73,14 +73,15 @@ class TestCommands:
         assert rc == 0
 
     @pytest.mark.parametrize("env, auto, last", [
-        ("", "interp", "auto resolves to: interp (REPRO_ENGINE overrides)"),
+        ("interp", "interp",
+         "auto resolves to: interp (REPRO_ENGINE overrides)"),
         ("compiled", {"error": BAD_ENGINE},
          f"auto resolves to nothing: REPRO_ENGINE: {BAD_ENGINE}")])
     def test_engines_lists_two_tiers(self, capsys, monkeypatch, env, auto,
                                      last):
         """A ``REPRO_ENGINE`` naming no tier is reported (rc 1)."""
         monkeypatch.setenv("REPRO_ENGINE", env)
-        rc = 1 if env else 0
+        rc = 1 if isinstance(auto, dict) else 0
         assert main(["engines"]) == rc
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[:2]] == [
@@ -88,9 +89,33 @@ class TestCommands:
         assert lines[2:] == [last]
         assert main(["engines", "--json"]) == rc
         report = json.loads(capsys.readouterr().out)
-        assert set(report) == {"interp", "native", "resolved_auto"}
+        assert set(report) == {"interp", "native", "resolved_auto",
+                               "auto_reason"}
         assert report["interp"] == {"available": True}
         assert report["resolved_auto"] == auto
+
+    def test_engines_says_what_auto_resolves_to(self, capsys, monkeypatch,
+                                                tmp_path):
+        """With ``REPRO_ENGINE`` unset, ``auto`` is native when the
+        artifact can be built or loaded here, else interp, and the
+        report says why."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        native.clear_cache()
+        assert main(["engines"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        if native.toolchain() is None:
+            assert last == ("auto resolves to: interp (no C toolchain; "
+                            "REPRO_ENGINE overrides)")
+        else:
+            assert last == ("auto resolves to: native (builds on first "
+                            "run; REPRO_ENGINE overrides)")
+        monkeypatch.setattr(native, "_toolchain", None)
+        assert main(["engines", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["resolved_auto"], report["auto_reason"]) == (
+            "interp", "no C toolchain")
+        native.clear_cache()
 
     @pytest.mark.parametrize("argv", [
         ["run", "go", "-n", "300", "--skip", "50"],

@@ -217,6 +217,30 @@ class TestTraceColumns:
         trace_columns(wl["li"], 1, 4_000)
         assert self._keys() == [("li", 1)]
 
+    def test_one_shot_traces_cannot_crowd_out_a_sweep(self, monkeypatch):
+        """A gateway's interactive points are short one-shot traces: the
+        entry budget bounds how many the cache holds, far below the byte
+        budget, while the nine 33k-record traces of a Figure 4+5 sweep
+        touched between them stay resident and are built once each."""
+        builds = []
+        columns = SyntheticTrace.columns
+
+        def counting(self, count):
+            builds.append(count)
+            return columns(self, count)
+
+        monkeypatch.setattr(SyntheticTrace, "columns", counting)
+        sweep = [load_workload(name) for name in WORKLOADS]
+        one_shots = generator.COLUMN_CACHE_ENTRIES - len(sweep)
+        for round_ in range(10):
+            for wl in sweep:
+                trace_columns(wl, 1234, 33_000)
+            for n in range(one_shots):
+                trace_columns(sweep[n], 1_000 * round_ + n, 1_500)
+            assert len(self._keys()) <= generator.COLUMN_CACHE_ENTRIES
+        assert {(wl.name, 1234) for wl in sweep} <= set(self._keys())
+        assert builds.count(33_000) == len(sweep)
+
     def test_overflow_appends_nothing(self):
         wl = simple_workload()
         recs = SyntheticTrace(wl, 1).take(50)

@@ -161,10 +161,13 @@ def test_engine_diff_tool_writes_a_passing_report(tmp_path, capsys):
 # ---- engine selection and fallback -------------------------------------
 
 def test_resolve_engine_names_and_env(monkeypatch):
+    """Unset, ``REPRO_ENGINE`` leaves ``auto`` for each run to settle."""
     assert resolve_engine("interp") == "interp"
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine(None) == "interp"
-    assert resolve_engine("auto") == "interp"
+    assert resolve_engine(None) == "auto"
+    assert resolve_engine("auto") == "auto"
+    monkeypatch.setenv("REPRO_ENGINE", "auto")
+    assert resolve_engine(None) == "auto"
     monkeypatch.setenv("REPRO_ENGINE", " interp ")
     assert resolve_engine(None) == "interp"
     with pytest.raises(ValueError):
@@ -214,6 +217,79 @@ def test_config_engine_field_selects_tier(monkeypatch):
     processor, _ = _run(ProcessorConfig(engine="interp"), engine=None,
                         n=2_000)
     assert processor.engine_used == "interp"
+
+
+@needs_toolchain
+def test_auto_takes_native_where_the_artifact_is_ready(monkeypatch):
+    """Unset ``REPRO_ENGINE``: a run the C loop lowers goes native, and
+    a policy it refuses (early-release) takes the interpreter without a
+    counted fallback; the same run requested as native counts one."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    processor, stats = _run(ProcessorConfig(), engine=None, n=2_000)
+    assert (processor.engine_used, stats["engine_fallbacks"]) == (
+        "native", 0)
+    early = policy_config("early-release")
+    processor, auto = _run(early, engine=None, n=2_000)
+    assert (processor.engine_used, auto["engine_fallbacks"]) == (
+        "interp", 0)
+    processor, pinned = _run(early, engine="native", n=2_000)
+    assert (processor.engine_used, pinned["engine_fallbacks"]) == (
+        "interp", 1)
+    assert dict(auto, engine_fallbacks=1) == pinned
+
+
+def test_auto_without_a_toolchain_is_a_quiet_interp_run(tmp_path,
+                                                         monkeypatch):
+    """No artifact to load and no compiler: ``auto`` runs interp and
+    counts nothing; ``simulate`` then reads records, not columns."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "_toolchain", None)
+    native.clear_cache()
+    columns = []
+    monkeypatch.setattr(generator, "trace_columns",
+                        lambda *args: columns.append(args))
+    result = simulate(ProcessorConfig(), workload="li",
+                      max_instructions=1_000, skip=100)
+    assert (result.engine_used, result.stats.engine_fallbacks) == (
+        "interp", 0)
+    assert columns == [] and native.build_failures == {}
+    native.clear_cache()
+
+
+@needs_toolchain
+def test_deferred_builds_run_auto_on_interp_until_the_library_loads(
+        tmp_path, monkeypatch):
+    """A process that defers its builds (``repro serve``) never
+    compiles in a run: ``auto`` takes the interpreter with no fallback
+    while the build is pending, an explicit native run falls back
+    (``artifact-pending``), and once the background build has loaded
+    the library ``auto`` runs native — bit-identical throughout."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "_builds_deferred", False)
+    monkeypatch.setattr(native, "_build_thread", None)
+    monkeypatch.setattr(native, "_build_outcome", None)
+    native.clear_cache()
+    native.defer_builds()
+    assert native.auto_status() == ("interp", "native build pending")
+    processor, pending = _run(ProcessorConfig(), engine=None, n=2_000)
+    assert (processor.engine_used, pending["engine_fallbacks"]) == (
+        "interp", 0)
+    processor, pinned = _run(ProcessorConfig(), engine="native", n=2_000)
+    assert (processor.engine_used, pinned["engine_fallbacks"]) == (
+        "interp", 1)
+    assert native.build_failures == {"artifact-pending": 1}
+    assert not list(tmp_path.glob("native/engine-*"))
+    thread = native.start_deferred_build()
+    assert native.start_deferred_build() is None  # one build per process
+    thread.join(120)
+    assert native.auto_status() == ("native", "artifact loaded")
+    processor, loaded = _run(ProcessorConfig(), engine=None, n=2_000)
+    assert (processor.engine_used, loaded["engine_fallbacks"]) == (
+        "native", 0)
+    assert loaded == pending
+    native.clear_cache()
 
 
 def test_fallback_on_capability_mismatch_is_counted():
@@ -1026,13 +1102,13 @@ def test_builds_and_the_probe_compile_with_cflags(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cc = native.toolchain()
     commands = []
-    real_run = subprocess.run
+    real_run, real_popen = subprocess.run, subprocess.Popen
 
-    def recording_run(argv, **kwargs):
+    def recording_popen(argv, **kwargs):
         commands.append(argv)
-        return real_run(argv, **kwargs)
+        return real_popen(argv, **kwargs)
 
-    monkeypatch.setattr(native.subprocess, "run", recording_run)
+    monkeypatch.setattr(native.subprocess, "Popen", recording_popen)
     native.clear_cache()
     assert native._try_compiler(cc)
     lib, reason = native.build_library(Processor())

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.isa.instruction import TraceRecord
 from repro.isa.opcodes import OpClass
+from repro.isa.registers import RegClass, make_reg
 from repro.memory.cache import CacheConfig
 from repro.uarch.config import conventional_config
 
@@ -32,6 +34,25 @@ class TestCachePortContention:
 
 
 class TestMSHRLimits:
+    def test_accepted_loads_leave_the_mshr_wake_list(self):
+        """A load that slept on a full MSHR file leaves the wake list
+        once its cache access is accepted, so a store-free stream of
+        missing loads (no commit ever empties the list) holds no
+        committed load there at the end."""
+        records = [TraceRecord(0x1000 + 4 * i, OpClass.LOAD_INT,
+                               dest=make_reg(RegClass.INT, 1 + i % 8),
+                               src1=make_reg(RegClass.INT, 20),
+                               addr=0x10000 + 64 * i)
+                   for i in range(3_000)]
+        cfg = conventional_config(rob_size=16, iq_size=16,
+                                  fetch_buffer_size=8,
+                                  cache=CacheConfig(mshr_entries=1))
+        processor, result = run_trace(records, cfg)
+        assert result.stats.committed == 3_000
+        assert processor.mem.cache.mshrs.rejections > 0
+        assert [load for load in processor._mshr_gated
+                if load.commit_at is not None] == []
+
     def test_more_misses_than_mshrs_still_complete(self, tb):
         # 12 independent misses to distinct lines with only 2 MSHRs.
         for i in range(12):

@@ -12,6 +12,14 @@ over real HTTP, the service-layer acceptance criteria:
    grid point *before* the job completes.
 3. **Determinism** — the collected results are bit-identical to a
    local serial ``BatchEngine`` run of the same grid.
+4. **Native after the deferred build** — the gateway builds its native
+   artifact in the background once its first job is answered; the
+   scrape must show ``repro_native_artifacts_total{outcome="built"}``
+   reach 1 (checked before step 3, whose serial run would otherwise
+   build the artifact into a shared cache directory first), and a
+   fresh grid must then run native point for point
+   (``repro_engine_runs_total{tier="native"}`` grows by its size).
+   Skipped when this host has no C toolchain.
 
 Exit status is non-zero on any failure.
 """
@@ -20,11 +28,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+import urllib.request
 
+from metrics_check import validate_text
 from repro.engine import BatchEngine, RunSpec, SerialExecutor
 from repro.service import GatewayClient, GatewayError
 from repro.service.auth import service_token
+from repro.uarch import native
 from repro.uarch.config import conventional_config, virtual_physical_config
+
+#: How long the gateway's background build may take to load.
+BUILD_TIMEOUT_S = 120
 
 
 def build_grid(instructions, skip, seed):
@@ -76,6 +91,55 @@ def check_streaming(client, specs):
     return client.fetch(job["id"])
 
 
+def scrape(client, name, **labels):
+    """The sum of the ``name`` series matching ``labels`` in the
+    gateway's Prometheus scrape (validated on the way)."""
+    request = urllib.request.Request(
+        f"http://{client.host}:{client.port}/v1/metrics")
+    if client.token:
+        request.add_header("Authorization", f"Bearer {client.token}")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        samples, _ = validate_text(response.read().decode("utf-8"))
+    return sum(value for sample, have, value in samples
+               if sample == name
+               and all(have.get(k) == v for k, v in labels.items()))
+
+
+def wait_for_native_build(client):
+    """Poll the scrape until the gateway's deferred native build has
+    loaded; ``False`` (nothing to wait for) without a C toolchain here.
+    Run before anything in this process can build the artifact into a
+    shared cache directory, so the gateway is the one that builds it."""
+    if native.toolchain() is None:
+        print("native: no C toolchain on this host, skipping")
+        return False
+    deadline = time.monotonic() + BUILD_TIMEOUT_S
+    while scrape(client, "repro_native_artifacts_total",
+                 outcome="built") < 1:
+        failed = scrape(client, "repro_native_artifacts_total",
+                        outcome="failed")
+        assert not failed, "the gateway's native build failed"
+        assert time.monotonic() < deadline, (
+            f"the gateway's native build did not load within "
+            f"{BUILD_TIMEOUT_S} s: it stays on the interpreter")
+        time.sleep(0.5)
+    engines = client.healthz()["engines"]
+    assert engines["resolved_auto"] == "native", engines
+    print("native: the gateway built its artifact in the background")
+    return True
+
+
+def check_native_runs(client, specs):
+    """A fresh grid (nothing cached) must run native, every point."""
+    before = scrape(client, "repro_engine_runs_total", tier="native")
+    results = client.run(specs)
+    ran = scrape(client, "repro_engine_runs_total", tier="native") - before
+    assert ran == len(specs), (
+        f"{ran:.0f} of {len(specs)} fresh point(s) ran native")
+    assert all(r.stats.engine_fallbacks == 0 for r in results)
+    print(f"native: {len(specs)} fresh point(s) ran on the native tier")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--url", default=None,
@@ -89,6 +153,7 @@ def main(argv=None):
     check_auth(args.url, specs)
     client = GatewayClient(args.url)
     remote = check_streaming(client, specs)
+    built = wait_for_native_build(client)
     serial = BatchEngine(SerialExecutor()).run(specs)
     mismatches = sum(a.to_dict() != b.to_dict()
                      for a, b in zip(remote, serial))
@@ -98,6 +163,9 @@ def main(argv=None):
         return 1
     print(f"determinism: {len(specs)} streamed result(s) bit-identical "
           "to the serial run")
+    if built:
+        check_native_runs(
+            client, build_grid(args.instructions, args.skip, args.seed + 1))
     return 0
 
 

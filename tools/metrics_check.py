@@ -9,6 +9,8 @@ properties:
   metric name, legal label names, and a float-parseable value;
 * ``# TYPE``/``# HELP`` lines are well-formed, name every metric
   before its samples, and appear at most once per metric;
+* a metric named ``*_total`` is a counter: Prometheus reserves the
+  suffix for counters, so a gauge or histogram under it is rejected;
 * histograms are internally consistent: cumulative ``_bucket`` counts
   are monotonically non-decreasing in ``le`` order, the ``+Inf``
   bucket equals ``_count``, and ``_sum``/``_count`` are present;
@@ -106,6 +108,9 @@ def validate_text(text):
                     raise CheckError(f"unknown metric type {kind!r}")
                 if name in families:
                     raise CheckError(f"duplicate TYPE for {name}")
+                if name.endswith("_total") and kind != "counter":
+                    raise CheckError(f"{name} is a {kind}, but the _total "
+                                     "suffix is reserved for counters")
                 families[name] = kind
             elif line.startswith("#"):
                 continue  # free-form comment
